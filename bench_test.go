@@ -964,11 +964,12 @@ func BenchmarkPDESKV(b *testing.B) {
 
 // BenchmarkKVStore runs the in-sim key-value service across machine sizes
 // for the write-invalidate (mcs-locked) and competitive-update (cbl-locked)
-// configurations, reporting the latency quantiles and throughput that feed
-// results/BENCH_8.json. The p50/p99 separation between cbl and mcs under a
-// read-mostly mix is the KV-form of the paper's protocol comparison: cbl's
-// READ-UPDATE fast path answers hot gets from the cache while mcs sends
-// every read home.
+// configurations, reporting the latency quantiles and throughput that
+// `ssmpkv sweep -procs 4,8,16,32 -keys 256 -shards 16 -sessions 2 -ops 96
+// -subcap 32` prints for the same spec. The p50/p99 separation between cbl
+// and mcs under a read-mostly mix is the KV-form of the paper's protocol
+// comparison: cbl's READ-UPDATE fast path answers hot gets from the cache
+// while mcs sends every read home.
 func BenchmarkKVStore(b *testing.B) {
 	for _, lock := range []string{"cbl", "mcs"} {
 		for _, n := range []int{4, 8, 16, 32} {

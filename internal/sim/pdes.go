@@ -117,9 +117,6 @@ func (p *Parallel) SetLookahead(d Time) {
 	p.la = d
 }
 
-// Lookahead returns the installed window width.
-func (p *Parallel) Lookahead() Time { return p.la }
-
 // SetHorizon establishes a hard time limit with the same inclusive
 // semantics as Engine.SetHorizon: events at t <= horizon fire, and Run
 // returns ErrHorizon when the next event anywhere lies strictly beyond it.

@@ -32,9 +32,6 @@ func (r *Resource) Acquire(at, hold Time) Time {
 	return r.free
 }
 
-// FreeAt returns the instant the resource next becomes idle.
-func (r *Resource) FreeAt() Time { return r.free }
-
 // Reset clears both the reservation horizon and the statistics.
 func (r *Resource) Reset() { *r = Resource{} }
 

@@ -559,8 +559,13 @@ func TestResourceReset(t *testing.T) {
 	var r Resource
 	r.Acquire(0, 5)
 	r.Reset()
-	if r.FreeAt() != 0 || r.Busy != 0 || r.Served != 0 {
-		t.Fatal("Reset did not clear resource")
+	if r.Busy != 0 || r.Served != 0 || r.Waited != 0 {
+		t.Fatal("Reset did not clear resource statistics")
+	}
+	// The horizon is cleared too: a request at time 1, inside the old
+	// reservation, starts at once instead of waiting until 5.
+	if done := r.Acquire(1, 2); done != 3 || r.Waited != 0 {
+		t.Fatalf("Acquire after Reset finished at %d (waited %d), want 3 (0)", done, r.Waited)
 	}
 }
 

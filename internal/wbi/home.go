@@ -67,18 +67,6 @@ func (h *Home) entry(b mem.Block) *dirEntry {
 // Owner returns the current exclusive owner of a block, or -1.
 func (h *Home) Owner(b mem.Block) int { return h.entry(b).owner }
 
-// Sharers returns the directory's (inclusive) sharer set for a block, in
-// ascending node order.
-func (h *Home) Sharers(b mem.Block) []int {
-	e := h.entry(b)
-	var out []int
-	for n := range e.sharers {
-		out = append(out, n)
-	}
-	sort.Ints(out)
-	return out
-}
-
 // Handles reports whether the home controller consumes this message kind.
 func (h *Home) Handles(k msg.Kind) bool {
 	switch k {
