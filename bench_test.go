@@ -635,12 +635,20 @@ func BenchmarkSharingPatterns(b *testing.B) {
 }
 
 // BenchmarkSimulatorThroughput measures raw simulation speed: simulated
-// cycles per wall-clock second on the queue workload.
-func BenchmarkSimulatorThroughput(b *testing.B) {
+// cycles per wall-clock second on the queue workload, on the serial engine.
+func BenchmarkSimulatorThroughput(b *testing.B) { simulatorThroughput(b, 0) }
+
+// BenchmarkSimulatorThroughputLanes is BenchmarkSimulatorThroughput on the
+// PDES engine with two lane workers, where a processor is resumed by
+// whichever worker runs its node.
+func BenchmarkSimulatorThroughputLanes(b *testing.B) { simulatorThroughput(b, 2) }
+
+func simulatorThroughput(b *testing.B, workers int) {
 	b.ReportAllocs()
 	var total uint64
 	for i := 0; i < b.N; i++ {
 		cfg := ssmp.DefaultConfig(16)
+		cfg.SimWorkers = workers
 		p := ssmp.DefaultWorkloadParams()
 		layout := ssmp.NewLayout(cfg, p)
 		progs, _ := ssmp.WorkQueue(16, 32, 0, p, layout, ssmp.CBLKit(layout, 16), uint64(i))

@@ -40,6 +40,12 @@ import (
 	"ssmp/internal/server"
 )
 
+// readHeaderTimeout drops a client that opens a connection and then trickles
+// (or never sends) its request headers, which would otherwise hold the
+// connection and its goroutine forever. Request bodies are capped by the
+// server package; job run time by -timeout and -max-timeout.
+const readHeaderTimeout = 10 * time.Second
+
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	workers := flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
@@ -90,7 +96,7 @@ func main() {
 		Log:            srvLog,
 	})
 
-	httpSrv := &http.Server{Addr: *addr, Handler: s.Handler()}
+	httpSrv := &http.Server{Addr: *addr, Handler: s.Handler(), ReadHeaderTimeout: readHeaderTimeout}
 	errCh := make(chan error, 1)
 	go func() {
 		logger.Printf("ssmpd: listening on %s", *addr)

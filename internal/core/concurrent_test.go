@@ -13,8 +13,8 @@ import (
 // in parallel and asserts every result is bit-identical to the same
 // configuration run serially. This is the safety property ssmpd's worker
 // pool rests on: machines share no mutable state, so running them on
-// concurrent goroutines (each machine itself a set of interlocked
-// goroutines) must not perturb determinism. Run under -race this also
+// concurrent goroutines (each machine itself an event loop and its
+// processors' coroutines) must not perturb determinism. Run under -race this also
 // checks for accidental sharing.
 func TestConcurrentMachinesMatchSerial(t *testing.T) {
 	type job struct {

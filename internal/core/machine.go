@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"sync/atomic"
 
 	"ssmp/internal/barrier"
 	"ssmp/internal/cache"
@@ -54,8 +53,6 @@ type Machine struct {
 	nodes []*node
 
 	running      bool
-	aborting     bool
-	finished     atomic.Int32
 	hist         *history.Recorder
 	onOp         func(OpRecord)
 	laneFallback string // why SimWorkers degraded to serial ("" = it didn't)
@@ -285,10 +282,12 @@ func (m *Machine) WriteMemory(a mem.Addr, w mem.Word) {
 	m.nodes[m.geom.Home(m.geom.BlockOf(a))].store.WriteWord(a, w)
 }
 
-// Program is the code executed by one simulated processor. It runs on a
-// dedicated goroutine interlocked with the event loop: at most one
-// goroutine is ever runnable, so programs may use ordinary Go control flow
-// and the Proc's blocking primitives without data races.
+// Program is the code executed by one simulated processor. It runs as a
+// coroutine of the event loop that owns its node, which resumes it when one
+// of its operations completes, so it never runs at the same time as its
+// node's event handlers. Under lane mode the programs of different nodes
+// may run in parallel on different lane workers, so Go state they share
+// outside the simulation needs its own synchronization.
 type Program func(p *Proc)
 
 // Result summarizes a completed run.
@@ -326,18 +325,15 @@ func (e *ErrDeadlock) Error() string {
 	return fmt.Sprintf("core: deadlock — processors %v blocked with no pending events", e.Stuck)
 }
 
-// drainAborted unwinds every still-parked program goroutine after the event
-// loop has stopped early (cancellation, horizon, deadlock). Each goroutine
-// is parked on its resume channel; resuming with the abort flag set makes
-// it unwind via an abortSignal panic, so no goroutines outlive the run.
+// drainAborted stops every unfinished program coroutine after the event
+// loop has ended early (cancellation, horizon, deadlock). A suspended
+// program unwinds via an abortSignal panic; one never resumed is discarded
+// without running. Either way no coroutine outlives the run.
 func (m *Machine) drainAborted() {
-	m.aborting = true
 	for _, n := range m.nodes {
-		if n.proc.done {
-			continue
+		if !n.proc.done {
+			n.proc.stop()
 		}
-		n.proc.resume <- 0
-		<-n.proc.yield
 	}
 }
 
@@ -350,7 +346,7 @@ func (m *Machine) Run(programs []Program) (Result, error) {
 
 // RunContext is Run with cancellation: when ctx is cancelled (or its
 // deadline passes) the event loop stops at the next interrupt poll, every
-// program goroutine is unwound, and the ctx error is returned. Cancellation
+// unfinished program is unwound, and the ctx error is returned. Cancellation
 // cannot perturb a completed run's determinism — it only ends a run early.
 func (m *Machine) RunContext(ctx context.Context, programs []Program) (Result, error) {
 	if m.running {
@@ -375,16 +371,13 @@ func (m *Machine) RunContext(ctx context.Context, programs []Program) (Result, e
 			m.eng.SetInterrupt(poll)
 		}
 	}
-	active := 0
 	for i, prog := range programs {
 		if prog == nil {
 			m.nodes[i].proc.done = true
 			continue
 		}
-		active++
 		m.nodes[i].proc.start(prog)
 	}
-	m.finished.Store(int32(m.cfg.Nodes - active))
 	var err error
 	if m.par != nil {
 		err = m.par.Run(m.cfg.SimWorkers)
@@ -392,23 +385,30 @@ func (m *Machine) RunContext(ctx context.Context, programs []Program) (Result, e
 		err = m.eng.Run()
 	}
 	if err != nil {
-		m.drainAborted()
-		return Result{}, fmt.Errorf("core: %w at cycle %d", err, m.Now())
-	}
-	if int(m.finished.Load()) < m.cfg.Nodes {
+		err = fmt.Errorf("core: %w at cycle %d", err, m.Now())
+	} else {
 		var stuck []int
 		for _, n := range m.nodes {
 			if !n.proc.done {
 				stuck = append(stuck, n.id)
 			}
 		}
-		m.drainAborted()
-		return Result{}, &ErrDeadlock{Stuck: stuck}
+		if stuck != nil {
+			err = &ErrDeadlock{Stuck: stuck}
+		}
 	}
+	if err != nil {
+		m.drainAborted()
+	}
+	// A program panic is reported ahead of the deadlock or horizon it may
+	// have caused in the processors waiting on it.
 	for _, n := range m.nodes {
 		if n.proc.err != nil {
 			return Result{}, fmt.Errorf("core: processor %d panicked: %v", n.id, n.proc.err)
 		}
+	}
+	if err != nil {
+		return Result{}, err
 	}
 	// Under lane mode, fold the per-view message collectors into the root
 	// fabric's, so Messages() and Result.Messages read as in serial mode.

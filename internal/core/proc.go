@@ -13,19 +13,27 @@ import (
 // the program until the modeled operation completes, advancing the
 // simulation clock underneath.
 //
-// Programs run on dedicated goroutines interlocked with the event loop:
-// exactly one goroutine is runnable at any instant, so programs need no
-// synchronization of their own. Proc methods must only be called from
-// within the processor's own Program.
+// Each program runs as a coroutine of its node's event loop (see Program):
+// every blocking method suspends the program and returns control to the
+// loop, which resumes it when the operation completes. Proc methods must
+// only be called from within the processor's own Program.
 type Proc struct {
 	id int
 	m  *Machine
 	n  *node
 	// eng is the engine this processor schedules on: the machine's serial
 	// engine, or under lane mode the node's own lane engine.
-	eng     *sim.Engine
-	resume  chan mem.Word
-	yield   chan struct{}
+	eng *sim.Engine
+
+	// The program runs as a coroutine (coro.go): step stores the word it
+	// carries in w and resumes the program through next; wait hands
+	// control back through yield. stop abandons a program that has not
+	// finished.
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
+	w     mem.Word
+
 	done    bool
 	err     any
 	opDepth int
@@ -36,8 +44,8 @@ type Proc struct {
 	// as a chain of typed events when the program reaches an operation
 	// that touches shared state. The replay schedules exactly the events
 	// the unbatched kernel would have — same times, same insertion
-	// sequence — so results are bit-identical, but the two goroutine
-	// handshakes per local operation collapse into one per batch.
+	// sequence — so results are bit-identical, but the two coroutine
+	// switches per local operation collapse into one per batch.
 	hops   []sim.Time
 	hopIdx int
 	lag    sim.Time
@@ -111,7 +119,7 @@ func (p *Proc) record(write, rmw bool, a mem.Addr, value, prev mem.Word, start s
 }
 
 func newProc(m *Machine, n *node, eng *sim.Engine) *Proc {
-	p := &Proc{id: n.id, m: m, n: n, eng: eng, resume: make(chan mem.Word), yield: make(chan struct{})}
+	p := &Proc{id: n.id, m: m, n: n, eng: eng}
 	p.cb0 = func() { p.step(0) }
 	p.cbW = func(w mem.Word) { p.step(w) }
 	p.endOp = func() { p.opDepth-- }
@@ -172,58 +180,10 @@ func (p *Proc) OnStep(uint64) {
 	p.step(0)
 }
 
-// abortSignal is the panic value used to unwind a program goroutine when
-// its machine's run is abandoned (cancelled, horizon, deadlock). It is
-// absorbed by the recover in start and never reported as a program error.
+// abortSignal is the panic value that unwinds a program when its machine's
+// run is abandoned (cancelled, horizon, deadlock). It is absorbed by the
+// recover in start and never reported as a program error.
 type abortSignal struct{}
-
-// start launches the program goroutine and schedules its first step.
-func (p *Proc) start(prog Program) {
-	go func() {
-		defer func() {
-			if r := recover(); r != nil {
-				if _, aborted := r.(abortSignal); !aborted {
-					p.err = r
-				}
-			}
-			p.done = true
-			p.stats.Finished = p.eng.Now()
-			p.m.finished.Add(1)
-			p.yield <- struct{}{}
-		}()
-		<-p.resume
-		if p.m.aborting {
-			return
-		}
-		prog(p)
-		// Replay any trailing local time so the completion cycle (and
-		// Result.Cycles) includes it.
-		p.sync()
-	}()
-	p.eng.AtStep(0, p, 0)
-}
-
-// step hands control to the program goroutine and waits for it to block on
-// its next operation (or finish). Called from the event loop only.
-func (p *Proc) step(w mem.Word) {
-	if p.done {
-		panic(fmt.Sprintf("core: step on finished processor %d", p.id))
-	}
-	p.resume <- w
-	<-p.yield
-}
-
-// wait parks the program until the event loop resumes it. Called from the
-// program goroutine only. A resume issued by an abort drain unwinds the
-// program instead of returning to it.
-func (p *Proc) wait() mem.Word {
-	p.yield <- struct{}{}
-	w := <-p.resume
-	if p.m.aborting {
-		panic(abortSignal{})
-	}
-	return w
-}
 
 // waitAs parks the program and charges the elapsed cycles to a stall
 // category.
@@ -254,7 +214,7 @@ func (p *Proc) Machine() *Machine { return p.m }
 
 // Think models c cycles of local computation. The delay is batched: it
 // accumulates locally and is replayed into the event loop at the next
-// shared-state operation, costing no goroutine handshake of its own.
+// shared-state operation, costing no coroutine switch of its own.
 func (p *Proc) Think(c sim.Time) {
 	if c == 0 {
 		return

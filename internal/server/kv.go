@@ -239,8 +239,7 @@ func (s *Server) handleKV(w http.ResponseWriter, r *http.Request) {
 		KVSpec
 		TimeoutMS int64 `json:"timeout_ms"`
 	}
-	if err := decodeBody(r.Body, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "decoding request: %v", err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if err := req.KVSpec.Normalize(); err != nil {

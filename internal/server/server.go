@@ -300,8 +300,7 @@ type SimRequest struct {
 
 func (s *Server) handleSim(w http.ResponseWriter, r *http.Request) {
 	var req SimRequest
-	if err := decodeBody(r.Body, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "decoding request: %v", err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if err := req.SimSpec.Normalize(); err != nil {
@@ -356,8 +355,7 @@ func (s *Server) handleFigurePost(w http.ResponseWriter, r *http.Request) {
 		FigureSpec
 		TimeoutMS int64 `json:"timeout_ms"`
 	}
-	if err := decodeBody(r.Body, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "decoding request: %v", err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	s.serveFigure(w, r, req.FigureSpec, req.TimeoutMS)
@@ -595,18 +593,30 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, snap)
 }
 
-// decodeBody decodes a JSON request body, rejecting unknown fields so that
+// maxBodyBytes caps a request body, so a client cannot stream an unbounded
+// body into the decoder. Every request is a small JSON spec: a litmus batch
+// names its test set, and the largest committed litmus test, the biggest
+// thing an inline request carries, is under 2 KB. The cap is above even the
+// whole committed litmus corpus (about 280 KB) in one body.
+const maxBodyBytes = 1 << 20
+
+// decodeBody decodes r's JSON body into v, rejecting unknown fields so that
 // a typoed parameter fails loudly instead of silently hitting defaults
 // (and caching under an unintended key). An empty body means "all
-// defaults".
-func decodeBody(body io.Reader, v any) error {
-	dec := json.NewDecoder(body)
+// defaults". On failure it writes the error response — 413 for a body over
+// maxBodyBytes, 400 otherwise — and reports false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		if errors.Is(err, io.EOF) {
-			return nil
-		}
-		return err
+	err := dec.Decode(v)
+	if err == nil || errors.Is(err, io.EOF) {
+		return true
 	}
-	return nil
+	status := http.StatusBadRequest
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	writeError(w, status, "decoding request: %v", err)
+	return false
 }

@@ -401,6 +401,30 @@ func TestMetricsAndHealthz(t *testing.T) {
 	}
 }
 
+// TestOversizedBodyRejected posts a body over maxBodyBytes to every POST
+// route: each answers 413 without decoding it, a spec padded to just under
+// the cap still runs, and the daemon keeps serving afterwards.
+func TestOversizedBodyRejected(t *testing.T) {
+	_, ts := testServer(t, Config{Workers: 1})
+	huge := `{"pad":"` + strings.Repeat("a", maxBodyBytes) + `"}`
+	for _, route := range []string{"/v1/sim", "/v1/figure", "/v1/kv", "/v1/litmus"} {
+		resp, body := postJSON(t, ts.URL+route, huge)
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s: status = %d, want 413: %.200s", route, resp.StatusCode, body)
+		}
+	}
+	padded := strings.Repeat(" ", maxBodyBytes-len(smallSim)) + smallSim
+	if resp, body := postJSON(t, ts.URL+"/v1/sim", padded); resp.StatusCode != http.StatusOK {
+		t.Errorf("spec padded to the cap: status = %d, want 200: %s", resp.StatusCode, body)
+	}
+	if resp, body := postJSON(t, ts.URL+"/v1/sim", smallSim); resp.StatusCode != http.StatusOK {
+		t.Errorf("after oversized bodies: status = %d, want 200: %s", resp.StatusCode, body)
+	}
+	if resp, body := getJSON(t, ts.URL+"/healthz"); resp.StatusCode != http.StatusOK {
+		t.Errorf("healthz after oversized bodies: status = %d: %s", resp.StatusCode, body)
+	}
+}
+
 func TestBadRequests(t *testing.T) {
 	_, ts := testServer(t, Config{Workers: 1})
 	cases := []struct {
