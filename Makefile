@@ -33,7 +33,7 @@ bench:
 # module, which the root `go test ./...` skips; used by CI, where timing
 # numbers would be noise anyway.
 bench-smoke:
-	$(GO) test '-bench=SimulatorThroughput|Enumerate' -benchtime=1x -run=^$$ .
+	$(GO) test '-bench=SimulatorThroughput|Enumerate|EngineQueue' -benchtime=1x -run=^$$ . ./internal/sim/
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # PDES determinism gate: the parallel engine's unit tests, the window-merge

@@ -6,6 +6,7 @@
 package fabric
 
 import (
+	"ssmp/internal/mem"
 	"ssmp/internal/metrics"
 	"ssmp/internal/msg"
 	"ssmp/internal/network"
@@ -88,6 +89,19 @@ func (f *Fabric) sendRaw(m *msg.Msg) {
 	}
 	f.Net.Send(m.Src, m.Dst, m.Words(), m)
 }
+
+// HitDone schedules done(w) one cache hit from now: the completion of a
+// request the cache serves locally. It allocates nothing — a func value is
+// pointer-shaped, so wordDone boxes into the Stepper interface as is, and w
+// travels as the step argument instead of in a closure.
+func (f *Fabric) HitDone(done func(mem.Word), w mem.Word) {
+	f.Eng.AfterStep(f.Time.CacheHit, wordDone(done), uint64(w))
+}
+
+// wordDone adapts a word-completion callback to sim.Stepper.
+type wordDone func(mem.Word)
+
+func (d wordDone) OnStep(w uint64) { d(mem.Word(w)) }
 
 // Attach registers node's protocol dispatch with the network, interposing
 // the reliable transport when it is enabled. Components that attach through

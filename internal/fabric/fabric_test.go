@@ -3,6 +3,7 @@ package fabric
 import (
 	"testing"
 
+	"ssmp/internal/mem"
 	"ssmp/internal/msg"
 	"ssmp/internal/network"
 	"ssmp/internal/sim"
@@ -62,5 +63,31 @@ func TestDefaultTimingMatchesTable4(t *testing.T) {
 	tm := DefaultTiming()
 	if tm.CacheHit != 1 || tm.TDir != 1 || tm.TMem != 4 {
 		t.Fatalf("DefaultTiming = %+v, want 1/1/4 per Table 4", tm)
+	}
+}
+
+// A cache-hit completion fires one hit later with its word and, once the
+// engine's arena is warm, allocates nothing.
+func TestHitDoneAllocatesNothing(t *testing.T) {
+	eng := sim.NewEngine()
+	f := New(eng, network.New(eng, network.DefaultConfig(4)), DefaultTiming())
+	var got mem.Word
+	var at sim.Time
+	done := func(w mem.Word) { got, at = w, eng.Now() }
+	f.HitDone(done, 42)
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got != 42 || at != f.Time.CacheHit {
+		t.Fatalf("done(%d) at %d, want done(42) at %d", got, at, f.Time.CacheHit)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		f.HitDone(done, 7)
+		if err := eng.Run(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("HitDone allocates %.1f times per hit, want 0", allocs)
 	}
 }

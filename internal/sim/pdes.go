@@ -12,7 +12,7 @@
 //     as posts in a per-source-lane FIFO outbox. Because any cross-lane
 //     effect is at least one link latency away, every post lands at or
 //     beyond the window end — the destination lane cannot have passed it.
-//  3. At the barrier, outboxes are merged into the destination heaps in the
+//  3. At the barrier, outboxes are merged into the destination queues in the
 //     fixed order (time, jitter, source lane, source sequence). The key is
 //     drawn by the source lane at Post time, so it is a pure function of
 //     that lane's own schedule — no interleaving of lane execution, worker
@@ -239,23 +239,17 @@ func (p *Parallel) PostKeyed(src, dst int32, at Time, jit, seq uint64, rcv Recei
 func (p *Parallel) SetArbiter(fn func()) { p.arb = fn }
 
 // Run executes the window loop with the given number of worker threads
-// until every lane's queue drains, any lane calls Stop, the horizon is
-// exceeded, or the interrupt poll reports an error. workers is clamped to
-// [1, lanes]; every worker count produces bit-identical results, and
-// workers=1 runs the same loop on the calling goroutine alone. Stop is
-// honored at the window boundary: the window in which Stop was called
-// completes (every lane fires its remaining in-window events) before Run
-// returns nil. A panic on any lane is re-raised on the caller, from the
-// lowest panicking lane for determinism.
+// until every lane's queue drains, the horizon is exceeded, or the
+// interrupt poll reports an error. workers is clamped to [1, lanes]; every
+// worker count produces bit-identical results, and workers=1 runs the same
+// loop on the calling goroutine alone. A panic on any lane is re-raised on
+// the caller, from the lowest panicking lane for determinism.
 func (p *Parallel) Run(workers int) error {
 	if workers < 1 {
 		workers = 1
 	}
 	if workers > len(p.lanes) {
 		workers = len(p.lanes)
-	}
-	for _, e := range p.lanes {
-		e.stopped = false
 	}
 	if workers > 1 {
 		wake := make(chan struct{})
@@ -276,9 +270,9 @@ func (p *Parallel) Run(workers int) error {
 
 	// nt caches every lane's next-event time between windows, so the
 	// per-window GVT reduction and active-lane selection scan a flat Time
-	// array instead of probing each lane's heap top through the record
-	// pool (two pointer-chasing nextTime calls per lane per window — the
-	// dominant coordinator cost at 512-1024 lanes). The cache is refreshed
+	// array instead of probing the front of each lane's queue through the
+	// record pool (two pointer-chasing nextTime calls per lane per window —
+	// the dominant coordinator cost at 512-1024 lanes). The cache is refreshed
 	// where it can change: by the worker that ran the lane's window, and
 	// by merge for lanes that received cross-lane posts.
 	for i, e := range p.lanes {
@@ -342,17 +336,11 @@ func (p *Parallel) Run(workers int) error {
 		if p.arb != nil {
 			p.arb()
 		}
-		stopped := false
-		for _, e := range p.lanes {
+		// Only lanes that ran this window can have moved their clock.
+		for _, e := range p.active {
 			if e.now > p.clock {
 				p.clock = e.now
 			}
-			if e.stopped {
-				stopped = true
-			}
-		}
-		if stopped {
-			return nil
 		}
 		p.merge()
 	}
@@ -381,13 +369,12 @@ func (p *Parallel) runLane(e *Engine) {
 			p.panics[e.lane] = v
 		}
 	}()
-	e.runWindow(p.wend)
-	p.nt[e.lane] = e.nextTime()
+	p.nt[e.lane] = e.runWindow(p.wend)
 }
 
-// merge drains every outbox into the destination heaps in the fixed order
-// (time, jitter, source lane, source sequence). The heap comparator itself
-// orders by exactly this key, so insertion order cannot affect pop order;
+// merge drains every outbox into the destination queues in the fixed order
+// (time, jitter, source lane, source sequence). The queue itself orders by
+// exactly this key, so insertion order cannot affect pop order;
 // sorting here additionally fixes arena slot assignment, keeping even
 // internal state identical across worker counts.
 func (p *Parallel) merge() {
@@ -427,64 +414,27 @@ func (p *Parallel) merge() {
 }
 
 // nextTime returns the timestamp of the earliest live event, discarding
-// cancelled entries from the top of the heap, or Infinity when drained.
+// cancelled entries from the front of the queue, or Infinity when drained.
 func (e *Engine) nextTime() Time {
-	for len(e.heap) > 0 {
-		top := e.heap[0]
-		r := &e.pool[top]
-		if !r.dead {
-			return r.at
-		}
-		e.pop()
-		e.dead--
-		e.release(top)
+	if id := e.top(); id >= 0 {
+		return e.pool[id].at
 	}
 	return Infinity
 }
 
-// runWindow fires every live event with at < end, in key order. Horizon
-// and interrupt handling belong to the coordinator; Stop is honored at
-// event granularity as in Run, and ends the whole Parallel run at the
-// next window boundary.
-func (e *Engine) runWindow(end Time) {
-	for len(e.heap) > 0 && !e.stopped {
-		top := e.heap[0]
-		r := &e.pool[top]
-		if r.dead {
-			e.pop()
-			e.dead--
-			e.release(top)
-			continue
+// runWindow fires every live event with at < end, in key order, and
+// returns the time of the next one (Infinity when drained). Horizon and
+// interrupt handling belong to the coordinator.
+func (e *Engine) runWindow(end Time) Time {
+	for {
+		id := e.top()
+		if id < 0 {
+			return Infinity
 		}
-		if r.at >= end {
-			return
+		if at := e.pool[id].at; at >= end {
+			return at
 		}
-		e.pop()
-		e.now = r.at
-		e.fire(top)
+		e.take(id)
+		e.fire(id)
 	}
-}
-
-// scheduleKeyed inserts an event carrying an explicit (jitter, lane, seq)
-// ordering key instead of drawing one from this engine — the cross-lane
-// merge path, where the key was assigned by the source lane at Post time.
-func (e *Engine) scheduleKeyed(t Time, jit uint64, lane int32, seq uint64, kind eventKind) (int32, *record) {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: schedule at %d before now %d", t, e.now))
-	}
-	var id int32
-	if n := len(e.free); n > 0 {
-		id = e.free[n-1]
-		e.free = e.free[:n-1]
-	} else {
-		e.pool = append(e.pool, record{})
-		id = int32(len(e.pool) - 1)
-	}
-	r := &e.pool[id]
-	r.at, r.seq, r.kind, r.dead = t, seq, kind, false
-	r.lane = lane
-	r.jit = jit
-	e.heap = append(e.heap, id)
-	e.siftUp(len(e.heap) - 1)
-	return id, r
 }

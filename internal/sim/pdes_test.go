@@ -227,37 +227,6 @@ func fingerprintLogs(logs [][]uint64) string {
 	return string(rune(h%26+'a')) + string(rune((h>>8)%26+'a')) + string(rune((h>>16)%26+'a'))
 }
 
-// TestParallelStop checks Stop ends the run cleanly at a window boundary
-// with identical state at any worker count.
-func TestParallelStop(t *testing.T) {
-	run := func(workers int) (uint64, Time) {
-		p := NewParallel(4)
-		p.SetLookahead(7)
-		m := &ringModel{p: p, lanes: 4, la: 7, logs: make([][]uint64, 4)}
-		for i := 0; i < 4; i++ {
-			i := int32(i)
-			e := p.Lane(int(i))
-			e.At(0, func() {
-				dst := (i + 1) % m.lanes
-				m.p.Post(i, dst, e.Now()+m.la, &ringNode{m, dst}, uint64(1_000_000))
-			})
-		}
-		p.Lane(2).At(200, func() { p.Lane(2).Stop() })
-		if err := p.Run(workers); err != nil {
-			t.Fatalf("workers %d: %v", workers, err)
-		}
-		return p.Fired(), p.Now()
-	}
-	f1, n1 := run(1)
-	f4, n4 := run(4)
-	if f1 != f4 || n1 != n4 {
-		t.Fatalf("stopped runs diverge: (%d,%d) vs (%d,%d)", f1, n1, f4, n4)
-	}
-	if n1 < 200 {
-		t.Fatalf("run stopped before the Stop event: now %d", n1)
-	}
-}
-
 // TestPostLookaheadViolationPanics: posting inside the current window is a
 // model bug (the destination lane may already be past the post time) and
 // must fail loudly.
@@ -290,39 +259,5 @@ func TestParallelDrainedOutcome(t *testing.T) {
 	}
 	if m.p.Now() == 0 {
 		t.Fatal("clock did not advance")
-	}
-}
-
-// TestRunUntilHorizonIdleAdvance pins the documented Engine behavior the
-// doc-drift fix clarified: the horizon bounds event execution, not idle
-// time, so RunUntil past the horizon with no out-of-horizon events returns
-// nil with the clock at the target — while an actual event beyond the
-// horizon yields ErrHorizon.
-func TestRunUntilHorizonIdleAdvance(t *testing.T) {
-	e := NewEngine()
-	e.SetHorizon(100)
-	fired := false
-	e.At(50, func() { fired = true })
-	n, err := e.RunUntil(200)
-	if err != nil || n != 1 || !fired {
-		t.Fatalf("idle advance: n=%d err=%v fired=%v", n, err, fired)
-	}
-	if e.Now() != 200 {
-		t.Fatalf("clock should idle-advance to 200, got %d", e.Now())
-	}
-
-	e2 := NewEngine()
-	e2.SetHorizon(100)
-	e2.At(150, func() {})
-	if _, err := e2.RunUntil(200); !errors.Is(err, ErrHorizon) {
-		t.Fatalf("event beyond horizon: want ErrHorizon, got %v", err)
-	}
-	// Events at exactly the horizon still fire (inclusive limit).
-	e3 := NewEngine()
-	e3.SetHorizon(100)
-	atLimit := false
-	e3.At(100, func() { atLimit = true })
-	if err := e3.Run(); err != nil || !atLimit {
-		t.Fatalf("event at horizon: err=%v fired=%v", err, atLimit)
 	}
 }

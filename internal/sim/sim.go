@@ -2,26 +2,35 @@
 // multiprocessor model.
 //
 // The kernel is deliberately minimal and deterministic: a single logical
-// clock measured in machine cycles, a binary-heap event queue ordered by
-// (time, insertion sequence), and no goroutines. All simulated components
+// clock measured in machine cycles, an event queue ordered by (time,
+// insertion sequence), and no goroutines. All simulated components
 // (processors, caches, directories, network switches) are passive state
 // machines that interact exclusively by scheduling events. Two runs with the
 // same seed and configuration produce bit-identical results, which the test
 // suite verifies.
 //
-// The queue is built for throughput: event records live in a pooled arena
-// and are recycled through a free list, the heap itself is a slice of arena
-// indices (no per-event allocation, no interface boxing), and the two event
-// shapes that dominate a simulation — resuming a processor and delivering a
-// network message — are typed (Stepper, Receiver) so the hot path allocates
-// no closures. Cancelled entries are dropped lazily at pop time, with an
-// eager sweep once they outnumber live ones.
+// The queue is a calendar queue (Brown, CACM 1988) built for throughput.
+// Nearly every event a machine schedules lands less than 64 cycles ahead,
+// so a ring of wheelSpan one-cycle slots covers [now, now+wheelSpan): each
+// slot holds the events due at that one time as a list threaded through the
+// records, an occupancy word finds the next non-empty slot with one
+// rotate and count-trailing-zeros, and scheduling or popping an event is
+// O(1). The few events due further out (retransmission and backoff timers)
+// wait in an index min-heap and move into the wheel as the clock reaches
+// them. Event records live in a pooled arena and are recycled through a
+// free list (no per-event allocation, no interface boxing), and the two
+// event shapes that dominate a simulation — resuming a processor and
+// delivering a network message — are typed (Stepper, Receiver) so the hot
+// path allocates no closures. Cancelled entries are dropped lazily when
+// they reach the front, with an eager sweep once they outnumber live ones.
 package sim
 
 import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 )
 
 // Time is the simulation clock, measured in processor cycles.
@@ -29,6 +38,17 @@ type Time uint64
 
 // Infinity is a sentinel Time greater than any reachable simulation instant.
 const Infinity Time = math.MaxUint64
+
+// wheelSpan is the number of one-cycle slots in the timing wheel: events
+// due less than wheelSpan cycles from now live in the wheel, later ones in
+// the far heap. It is the width of the occupancy word.
+const (
+	wheelSpan = 64
+	wheelMask = wheelSpan - 1
+)
+
+// shortWalk bounds the sorted insertion into a wheel slot (see slotInsert).
+const shortWalk = 4
 
 // Event is a scheduled callback. Events carry no payload of their own;
 // closures capture whatever state they need. For the hot event shapes,
@@ -63,6 +83,7 @@ const (
 // insertion order, keeping the simulation deterministic. lane is the
 // scheduling lane of a Parallel run (see pdes.go): a standalone engine
 // leaves it 0, so the legacy order (time, jitter, sequence) is unchanged.
+// next links the record into its wheel slot's circular list.
 type record struct {
 	at      Time
 	seq     uint64
@@ -73,6 +94,7 @@ type record struct {
 	payload any
 	arg     uint64
 	lane    int32
+	next    int32
 	gen     uint32
 	kind    eventKind
 	dead    bool
@@ -114,32 +136,47 @@ func (h Handle) Pending() bool {
 }
 
 // Engine is the event loop. The zero value is not usable; call NewEngine.
+//
+// Every queued entry due in [now, now+wheelSpan) sits in wheel slot
+// at%wheelSpan, and every other one in far, so the wheel always holds the
+// earliest entries. The fields a PDES lane touches on every visit fill the
+// first two cache lines, ahead of the cold ones and the wheel.
 type Engine struct {
-	now  Time
-	seq  uint64
-	pool []record // event arena; heap and free hold indices into it
-	heap []int32  // binary min-heap ordered by (at, seq)
-	free []int32  // recycled arena slots
-	dead int      // cancelled entries still in heap
+	now    Time
+	occ    uint64   // bit s set while wheel slot s is non-empty
+	mixed  uint64   // bit s set while slot s may be out of key order
+	first  int32    // the earliest queued entry when known, else -1
+	pool   []record // event arena; wheel, far and free hold indices into it
+	farMin Time     // earliest at in far; Infinity when far is empty
 
-	fired     uint64
-	stopped   bool
-	limit     Time // horizon; Infinity when unset
-	interrupt func() error
-
-	jitterOn bool
-	jrng     uint64 // splitmix64 state; advanced once per scheduled event
+	seq   uint64
+	fired uint64
+	n     int // queued entries, cancelled ones included
 
 	// lane is this engine's lane id when it belongs to a Parallel run
 	// (pdes.go); every locally scheduled record is stamped with it. A
 	// standalone engine keeps lane 0, which sorts like the legacy
 	// (time, jitter, sequence) key.
-	lane int32
+	lane     int32
+	jitterOn bool
+	jrng     uint64  // splitmix64 state; advanced once per scheduled event
+	free     []int32 // recycled arena slots
+
+	limit     Time // horizon; Infinity when unset
+	dead      int  // cancelled entries still queued
+	interrupt func() error
+	far       []int32 // binary min-heap of entries due at now+wheelSpan or later
+	scr       []int32 // sortSlot scratch
+
+	// wheel holds, per occupied slot, the tail of a circular list of the
+	// entries due at that time; the tail's next is the head. The list is
+	// in key order unless the slot's mixed bit is set.
+	wheel [wheelSpan]int32
 }
 
 // NewEngine returns an engine with the clock at zero.
 func NewEngine() *Engine {
-	return &Engine{limit: Infinity}
+	return &Engine{limit: Infinity, farMin: Infinity, first: -1}
 }
 
 // Now returns the current simulation time.
@@ -150,17 +187,12 @@ func (e *Engine) Fired() uint64 { return e.fired }
 
 // Pending returns the number of events still scheduled (including cancelled
 // entries not yet swept).
-func (e *Engine) Pending() int { return len(e.heap) }
+func (e *Engine) Pending() int { return e.n }
 
 // SetHorizon establishes a hard time limit. The horizon is inclusive:
-// events with timestamps <= t still fire, and Run or RunUntil return
-// ErrHorizon only when the next live *event* lies strictly beyond it.
-// RunUntil's trailing idle advance (moving the clock to its target time
-// when the queue empties early) is not horizon-checked — a horizon bounds
-// event execution, not the passage of idle time — so RunUntil(u) with
-// u > t can leave the clock past the horizon without an error if no event
-// beyond t was actually scheduled. A horizon of Infinity (the default)
-// disables the limit.
+// events with timestamps <= t still fire, and Run returns ErrHorizon only
+// when the next live event lies strictly beyond it. A horizon of Infinity
+// (the default) disables the limit.
 func (e *Engine) SetHorizon(t Time) { e.limit = t }
 
 // ErrHorizon is returned when the simulation horizon is exceeded, which
@@ -175,11 +207,11 @@ var ErrHorizon = errors.New("sim: horizon exceeded")
 // well under a millisecond of wall time.
 const interruptEvery = 1024
 
-// SetInterrupt installs a poll function consulted periodically during Run
-// and RunUntil; a non-nil return stops the loop, which returns that error.
-// The poll is deliberately coarse (every 1024 events) so it stays off the
-// hot path. Pass nil to remove the interrupt. Interrupts do not affect
-// determinism: they can only end a run early, never reorder events.
+// SetInterrupt installs a poll function consulted periodically during Run;
+// a non-nil return stops the loop, which returns that error. The poll is
+// deliberately coarse (every 1024 events) so it stays off the hot path.
+// Pass nil to remove the interrupt. Interrupts do not affect determinism:
+// they can only end a run early, never reorder events.
 func (e *Engine) SetInterrupt(fn func() error) { e.interrupt = fn }
 
 // SetJitter enables seeded schedule jitter: every event scheduled from now
@@ -206,13 +238,13 @@ func (e *Engine) nextJit() uint64 {
 	return z ^ (z >> 31)
 }
 
-// less orders heap entries by (time, jitter, lane, sequence). With jitter
+// less orders queue entries by (time, jitter, lane, sequence). With jitter
 // off every jit is zero, and in a standalone engine every lane is zero, so
 // the order degenerates to the legacy (time, seq). Under a Parallel run the
 // (lane, seq) pair is the scheduling lane and that lane's local sequence
 // counter, which makes the key a total order that no interleaving of lane
 // execution can perturb. seq keeps the key unique within a lane, so the pop
-// order is independent of the heap's internal arrangement.
+// order is independent of the queue's internal arrangement.
 func (e *Engine) less(a, b int32) bool {
 	ra, rb := &e.pool[a], &e.pool[b]
 	if ra.at != rb.at {
@@ -228,7 +260,7 @@ func (e *Engine) less(a, b int32) bool {
 }
 
 func (e *Engine) siftUp(i int) {
-	h := e.heap
+	h := e.far
 	id := h[i]
 	for i > 0 {
 		parent := (i - 1) / 2
@@ -242,7 +274,7 @@ func (e *Engine) siftUp(i int) {
 }
 
 func (e *Engine) siftDown(i int) {
-	h := e.heap
+	h := e.far
 	n := len(h)
 	id := h[i]
 	for {
@@ -262,23 +294,161 @@ func (e *Engine) siftDown(i int) {
 	h[i] = id
 }
 
-// pop removes and returns the earliest entry's arena index.
-func (e *Engine) pop() int32 {
-	h := e.heap
+// farPop removes the far heap's earliest entry.
+func (e *Engine) farPop() {
+	h := e.far
 	n := len(h) - 1
-	id := h[0]
 	h[0] = h[n]
-	e.heap = h[:n]
+	e.far = h[:n]
+	e.farMin = Infinity
 	if n > 0 {
 		e.siftDown(0)
+		e.farMin = e.pool[h[0]].at
 	}
-	return id
 }
 
-// schedule allocates a record (recycling a free slot when one exists),
-// stamps it, and pushes it onto the heap. The returned pointer is valid
-// until the next arena append; callers fill the payload immediately.
+// slotInsert links entry id into the wheel slot for at. With jitter off,
+// an event scheduled by the engine's own lane sorts after every entry
+// already due at that time, so the common case is a tail append. Any other
+// key is placed by a short walk from the head of a sorted slot; past
+// shortWalk entries it is appended and the slot marked mixed, and front
+// sorts the slot once before popping from it: a jittered burst of k
+// same-cycle events costs O(k log k), not the O(k^2) of sorted insertion.
+func (e *Engine) slotInsert(id int32, at Time) {
+	s := at & wheelMask
+	if e.occ&(1<<s) == 0 {
+		e.occ |= 1 << s
+		e.pool[id].next = id
+		e.wheel[s] = id
+		return
+	}
+	tail := e.wheel[s]
+	if !e.less(tail, id) && e.mixed&(1<<s) == 0 {
+		prev, cur := tail, e.pool[tail].next
+		for i := 0; i < shortWalk; i++ {
+			if e.less(id, cur) {
+				e.pool[id].next = cur
+				e.pool[prev].next = id
+				return
+			}
+			prev, cur = cur, e.pool[cur].next
+		}
+		e.mixed |= 1 << s
+	}
+	e.pool[id].next = e.pool[tail].next
+	e.pool[tail].next = id
+	e.wheel[s] = id
+}
+
+// sortSlot puts a mixed slot's list into key order.
+func (e *Engine) sortSlot(s Time) {
+	e.mixed &^= 1 << s
+	tail := e.wheel[s]
+	ids := e.scr[:0]
+	for id := e.pool[tail].next; ; id = e.pool[id].next {
+		ids = append(ids, id)
+		if id == tail {
+			break
+		}
+	}
+	slices.SortFunc(ids, func(a, b int32) int {
+		if e.less(a, b) {
+			return -1
+		}
+		return 1
+	})
+	for i, id := range ids[:len(ids)-1] {
+		e.pool[id].next = ids[i+1]
+	}
+	tail = ids[len(ids)-1]
+	e.pool[tail].next = ids[0]
+	e.wheel[s] = tail
+	e.scr = ids[:0]
+}
+
+// front returns the arena index of the earliest queued entry, live or
+// cancelled, or -1 when the queue is empty. The answer is cached until the
+// entry leaves the queue, so a lane that peeks at its next event at the end
+// of one window finds it again at the start of the next without walking
+// the wheel.
+func (e *Engine) front() int32 {
+	if e.first >= 0 {
+		return e.first
+	}
+	if e.occ != 0 {
+		d := bits.TrailingZeros64(bits.RotateLeft64(e.occ, -int(e.now&wheelMask)))
+		s := (e.now + Time(d)) & wheelMask
+		if e.mixed&(1<<s) != 0 {
+			e.sortSlot(s)
+		}
+		e.first = e.pool[e.wheel[s]].next
+	} else if len(e.far) > 0 {
+		e.first = e.far[0]
+	}
+	return e.first
+}
+
+// unlink removes the entry front returned from the queue.
+func (e *Engine) unlink(id int32) {
+	e.n--
+	e.first = -1
+	if e.occ == 0 {
+		e.farPop()
+		return
+	}
+	s := e.pool[id].at & wheelMask
+	if tail := e.wheel[s]; tail != id {
+		e.pool[tail].next = e.pool[id].next
+	} else {
+		e.occ &^= 1 << s
+		e.mixed &^= 1 << s
+	}
+}
+
+// top returns the arena index of the earliest live entry, releasing the
+// cancelled entries ahead of it, or -1 when none is queued.
+func (e *Engine) top() int32 {
+	for {
+		id := e.front()
+		if id < 0 || !e.pool[id].dead {
+			return id
+		}
+		e.unlink(id)
+		e.dead--
+		e.release(id)
+	}
+}
+
+// take removes the entry top returned, advances the clock to it, and moves
+// the far entries the wheel now covers into it.
+func (e *Engine) take(id int32) {
+	e.unlink(id)
+	e.now = e.pool[id].at
+	for e.farMin-e.now < wheelSpan && len(e.far) > 0 {
+		f := e.far[0]
+		e.farPop()
+		e.slotInsert(f, e.pool[f].at)
+	}
+}
+
+// schedule draws the next local ordering key and queues a record at t.
 func (e *Engine) schedule(t Time, kind eventKind) (int32, *record) {
+	var jit uint64
+	if e.jitterOn {
+		jit = e.nextJit()
+	}
+	id, r := e.scheduleKeyed(t, jit, e.lane, e.seq, kind)
+	e.seq++
+	return id, r
+}
+
+// scheduleKeyed allocates a record (recycling a free slot when one exists),
+// stamps it with an explicit (jitter, lane, seq) ordering key, and queues
+// it. schedule draws the key from this engine; the cross-lane merge
+// (pdes.go) passes the key the source lane drew at Post time. The returned
+// pointer is valid until the next arena append; callers fill the payload
+// immediately.
+func (e *Engine) scheduleKeyed(t Time, jit uint64, lane int32, seq uint64, kind eventKind) (int32, *record) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: schedule at %d before now %d", t, e.now))
 	}
@@ -291,15 +461,18 @@ func (e *Engine) schedule(t Time, kind eventKind) (int32, *record) {
 		id = int32(len(e.pool) - 1)
 	}
 	r := &e.pool[id]
-	r.at, r.seq, r.kind, r.dead = t, e.seq, kind, false
-	r.lane = e.lane
-	r.jit = 0
-	if e.jitterOn {
-		r.jit = e.nextJit()
+	r.at, r.seq, r.jit, r.lane, r.kind, r.dead = t, seq, jit, lane, kind, false
+	e.n++
+	if t-e.now < wheelSpan {
+		e.slotInsert(id, t)
+	} else {
+		e.far = append(e.far, id)
+		e.siftUp(len(e.far) - 1)
+		e.farMin = e.pool[e.far[0]].at
 	}
-	e.seq++
-	e.heap = append(e.heap, id)
-	e.siftUp(len(e.heap) - 1)
+	if e.first >= 0 && e.less(id, e.first) {
+		e.first = -1
+	}
 	return id, r
 }
 
@@ -312,25 +485,61 @@ func (e *Engine) release(id int32) {
 }
 
 // maybeSweep eagerly drops cancelled entries once they outnumber live ones,
-// so a cancel-heavy workload cannot grow the heap without bound. The sweep
-// filters the index slice and re-heapifies; (at, seq) keys are unique, so
-// the pop order is unchanged.
+// so a cancel-heavy workload cannot grow the queue without bound. Each
+// wheel slot list is relinked without its dead entries, keeping its order,
+// and the far heap is filtered and re-heapified; keys are unique, so the
+// pop order is unchanged.
 func (e *Engine) maybeSweep() {
-	if e.dead <= len(e.heap)/2 || e.dead < 64 {
+	if e.dead <= e.n/2 || e.dead < 64 {
 		return
 	}
-	live := e.heap[:0]
-	for _, id := range e.heap {
+	e.first = -1
+	for occ := e.occ; occ != 0; occ &= occ - 1 {
+		s := bits.TrailingZeros64(occ)
+		tail := e.wheel[s]
+		head, last := int32(-1), int32(-1)
+		for id := e.pool[tail].next; ; {
+			next := e.pool[id].next
+			if e.pool[id].dead {
+				e.release(id)
+			} else {
+				if last < 0 {
+					head = id
+				} else {
+					e.pool[last].next = id
+				}
+				last = id
+			}
+			if id == tail {
+				break
+			}
+			id = next
+		}
+		if last < 0 {
+			e.occ &^= 1 << s
+			e.mixed &^= 1 << s
+			continue
+		}
+		e.pool[last].next = head
+		e.wheel[s] = last
+	}
+	live := e.far[:0]
+	for _, id := range e.far {
 		if e.pool[id].dead {
 			e.release(id)
 			continue
 		}
 		live = append(live, id)
 	}
-	e.heap = live
+	e.far = live
 	for i := len(live)/2 - 1; i >= 0; i-- {
 		e.siftDown(i)
 	}
+	e.farMin = Infinity
+	if len(live) > 0 {
+		e.farMin = e.pool[live[0]].at
+	}
+	e.n -= e.dead
 	e.dead = 0
 }
 
@@ -377,11 +586,6 @@ func (e *Engine) AtDeliver(t Time, rcv Receiver, payload any) Handle {
 	return Handle{e, id, r.gen}
 }
 
-// Stop makes Run (or RunUntil) return after the current event completes.
-// Intended for use from inside event callbacks (for example when a workload
-// detects completion).
-func (e *Engine) Stop() { e.stopped = true }
-
 // fire executes one live event. The record is released before the callback
 // runs, so events scheduled by the callback can recycle its slot.
 func (e *Engine) fire(id int32) {
@@ -401,75 +605,26 @@ func (e *Engine) fire(id int32) {
 	}
 }
 
-// Run executes events until the queue drains, Stop is called, the horizon
-// is exceeded, or an installed interrupt reports an error. It returns nil
-// on a drained queue or explicit Stop.
+// Run executes events until the queue drains, the horizon is exceeded, or
+// an installed interrupt reports an error. It returns nil on a drained
+// queue.
 func (e *Engine) Run() error {
-	e.stopped = false
-	for len(e.heap) > 0 && !e.stopped {
+	for {
+		id := e.top()
+		if id < 0 {
+			return nil
+		}
 		if e.interrupt != nil && e.fired%interruptEvery == 0 {
 			if err := e.interrupt(); err != nil {
 				return err
 			}
 		}
-		id := e.pop()
-		r := &e.pool[id]
-		if r.dead {
-			e.dead--
-			e.release(id)
-			continue
-		}
-		if r.at > e.limit {
-			e.now = r.at
+		horizon := e.pool[id].at > e.limit
+		e.take(id)
+		if horizon {
 			e.release(id)
 			return ErrHorizon
 		}
-		e.now = r.at
 		e.fire(id)
 	}
-	return nil
-}
-
-// RunUntil executes events with timestamps <= t, leaving later events queued
-// and advancing the clock to exactly t if the queue empties earlier. It
-// returns the number of events fired. RunUntil stops on Stop, polls any
-// installed interrupt, and returns ErrHorizon when the next event within its
-// window lies strictly beyond the horizon. The final idle advance to t is
-// exempt from the horizon check (see SetHorizon): only firing an event past
-// the limit is an error, so RunUntil(t) with t beyond the horizon returns
-// nil as long as every queued event up to t is within it.
-func (e *Engine) RunUntil(t Time) (uint64, error) {
-	e.stopped = false
-	start := e.fired
-	for len(e.heap) > 0 && !e.stopped {
-		if e.interrupt != nil && e.fired%interruptEvery == 0 {
-			if err := e.interrupt(); err != nil {
-				return e.fired - start, err
-			}
-		}
-		top := e.heap[0]
-		r := &e.pool[top]
-		if r.dead {
-			e.pop()
-			e.dead--
-			e.release(top)
-			continue
-		}
-		if r.at > t {
-			break
-		}
-		if r.at > e.limit {
-			e.pop()
-			e.now = r.at
-			e.release(top)
-			return e.fired - start, ErrHorizon
-		}
-		e.pop()
-		e.now = r.at
-		e.fire(top)
-	}
-	if e.now < t && t != Infinity && !e.stopped {
-		e.now = t
-	}
-	return e.fired - start, nil
 }

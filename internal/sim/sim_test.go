@@ -125,26 +125,6 @@ func TestCancelAfterFire(t *testing.T) {
 	}
 }
 
-func TestStop(t *testing.T) {
-	e := NewEngine()
-	count := 0
-	e.At(1, func() { count++; e.Stop() })
-	e.At(2, func() { count++ })
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if count != 1 {
-		t.Fatalf("fired %d events, want 1 (Stop should halt)", count)
-	}
-	// The remaining event is still queued and runs on the next Run.
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if count != 2 {
-		t.Fatalf("fired %d events after resume, want 2", count)
-	}
-}
-
 func TestHorizon(t *testing.T) {
 	e := NewEngine()
 	e.SetHorizon(100)
@@ -155,74 +135,57 @@ func TestHorizon(t *testing.T) {
 	}
 }
 
-func TestRunUntil(t *testing.T) {
-	e := NewEngine()
-	var fired []Time
-	for _, at := range []Time{1, 5, 10, 15} {
-		at := at
-		e.At(at, func() { fired = append(fired, at) })
-	}
-	n, err := e.RunUntil(10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 3 {
-		t.Fatalf("RunUntil(10) fired %d, want 3", n)
-	}
-	if e.Now() != 10 {
-		t.Fatalf("Now() = %d, want 10", e.Now())
-	}
-	if e.Pending() != 1 {
-		t.Fatalf("Pending() = %d, want 1", e.Pending())
-	}
-	// Clock advances to the target even when the queue empties early.
-	e2 := NewEngine()
-	e2.RunUntil(42)
-	if e2.Now() != 42 {
-		t.Fatalf("empty RunUntil: Now() = %d, want 42", e2.Now())
-	}
-}
-
-// RunUntil must enforce the same limits as Run: the horizon and the
-// interrupt poll. Regression test — it used to honor neither.
+// The first live event beyond the horizon stops Run with ErrHorizon without
+// running; the clock stands at the event that tripped the limit.
 func TestRunUntilHonorsHorizon(t *testing.T) {
 	e := NewEngine()
 	e.SetHorizon(100)
 	fired := 0
 	e.At(50, func() { fired++ })
 	e.At(101, func() { fired++ })
-	n, err := e.RunUntil(200)
-	if err != ErrHorizon {
-		t.Fatalf("RunUntil(200) err = %v, want ErrHorizon", err)
+	if err := e.Run(); err != ErrHorizon {
+		t.Fatalf("Run() = %v, want ErrHorizon", err)
 	}
-	if n != 1 || fired != 1 {
-		t.Fatalf("fired %d/%d events, want 1 (the beyond-horizon event must not run)", n, fired)
+	if fired != 1 || e.Fired() != 1 {
+		t.Fatalf("fired %d/%d events, want 1 (the beyond-horizon event must not run)", fired, e.Fired())
+	}
+	if e.Now() != 101 {
+		t.Fatalf("Now() = %d, want 101 (the event that tripped the horizon)", e.Now())
 	}
 }
 
-func TestRunUntilHonorsInterrupt(t *testing.T) {
+// The horizon bounds event execution, not idle time, and is inclusive: a
+// queue that drains at or before the limit returns nil, an event at exactly
+// the limit fires, and only an actual event beyond it yields ErrHorizon.
+func TestRunUntilHorizonIdleAdvance(t *testing.T) {
+	e := NewEngine()
+	e.SetHorizon(100)
+	fired := 0
+	e.At(50, func() { fired++ })
+	e.At(100, func() { fired++ })
+	if err := e.Run(); err != nil || fired != 2 {
+		t.Fatalf("drain within horizon: err=%v fired=%d, want nil and 2", err, fired)
+	}
+	if e.Now() != 100 {
+		t.Fatalf("Now() = %d, want 100", e.Now())
+	}
+
+	e2 := NewEngine()
+	e2.SetHorizon(100)
+	e2.At(150, func() { t.Fatal("event beyond the horizon fired") })
+	if err := e2.Run(); !errors.Is(err, ErrHorizon) {
+		t.Fatalf("event beyond horizon: want ErrHorizon, got %v", err)
+	}
+}
+
+// A failing interrupt stops Run before the next event fires.
+func TestRunHonorsInterrupt(t *testing.T) {
 	e := NewEngine()
 	stop := errors.New("stop")
 	e.SetInterrupt(func() error { return stop })
 	e.At(1, func() { t.Fatal("event fired past a failing interrupt") })
-	if _, err := e.RunUntil(10); err != stop {
-		t.Fatalf("RunUntil err = %v, want the interrupt error", err)
-	}
-}
-
-func TestRunUntilHonorsStop(t *testing.T) {
-	e := NewEngine()
-	count := 0
-	e.At(1, func() { count++; e.Stop() })
-	e.At(2, func() { count++ })
-	if _, err := e.RunUntil(10); err != nil {
-		t.Fatal(err)
-	}
-	if count != 1 {
-		t.Fatalf("fired %d events, want 1 (Stop should halt RunUntil)", count)
-	}
-	if e.Now() != 1 {
-		t.Fatalf("Now() = %d, want 1 (no clamp to target after Stop)", e.Now())
+	if err := e.Run(); err != stop {
+		t.Fatalf("Run err = %v, want the interrupt error", err)
 	}
 }
 

@@ -72,7 +72,7 @@ func (n *Node) Read(a mem.Addr, done func(mem.Word)) {
 	if l := n.cache.Lookup(b); l != nil {
 		n.f.RMR.LocalHit(n.id)
 		w := l.Data[wi]
-		n.f.Eng.After(n.f.Time.CacheHit, func() { done(w) })
+		n.f.HitDone(done, w)
 		return
 	}
 	n.start(&pending{block: b, wordIdx: wi, done: done})
@@ -88,7 +88,7 @@ func (n *Node) Write(a mem.Addr, w mem.Word, done func()) {
 		n.f.RMR.LocalHit(n.id)
 		l.Data[wi] = w
 		l.Dirty.Set(wi)
-		n.f.Eng.After(n.f.Time.CacheHit, func() { done() })
+		n.f.Eng.After(n.f.Time.CacheHit, done)
 		return
 	}
 	n.start(&pending{
@@ -109,7 +109,7 @@ func (n *Node) RMW(a mem.Addr, op func(mem.Word) mem.Word, done func(old mem.Wor
 		old := l.Data[wi]
 		l.Data[wi] = op(old)
 		l.Dirty.Set(wi)
-		n.f.Eng.After(n.f.Time.CacheHit, func() { done(old) })
+		n.f.HitDone(done, old)
 		return
 	}
 	n.start(&pending{isX: true, block: b, wordIdx: wi, apply: op, done: done})
