@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet bench bench-smoke pdes litmus farm farm-grow synczoo chaos kv cover serve clean
+.PHONY: build test race vet bench bench-smoke pdes litmus farm farm-grow fuzz synczoo chaos kv cover serve clean
 
 build:
 	$(GO) build ./...
@@ -65,7 +65,7 @@ litmus:
 # every §2 axiom family covered) replayed end to end under the race
 # detector — canonical-form fixpoint, recomputed coverage vectors, pinned
 # allowed sets, simulator cross-validation, and engine-configuration
-# agreement (POR/symmetry/worker-count) on every test.
+# agreement (POR on/off, any worker count) on every test.
 farm:
 	$(GO) test -race -run 'TestGeneratedCorpusReplay|TestDifferentialGenerated|TestFarm|TestCanonicalize' \
 		./internal/litmus/
@@ -76,6 +76,15 @@ farm:
 farm-grow:
 	$(GO) run ./cmd/ssmplitmus farm -n 7000 -rng 1 -report \
 		-out internal/litmus/testdata/generated
+
+# Native fuzz targets, 10 s each (one package per `go test -fuzz` run):
+# event-kernel order against a reference model, trace-file
+# Write/Parse round trip, and litmus canonical-form fixpoint. Their seed
+# corpora already run in `go test ./...`.
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzEngineOrder$$' -fuzztime 10s ./internal/sim/
+	$(GO) test -run '^$$' -fuzz '^FuzzTraceParse$$' -fuzztime 10s ./internal/trace/
+	$(GO) test -run '^$$' -fuzz '^FuzzLitmusParse$$' -fuzztime 10s ./internal/litmus/
 
 # Chaos soak: fault-plane and reliable-transport unit tests under the race
 # detector, then the litmus corpus swept across fault seeds — each run's

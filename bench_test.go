@@ -853,38 +853,26 @@ func BenchmarkEnumerate(b *testing.B) {
 }
 
 // BenchmarkLitmusCorpus enumerates the full embedded corpus — the
-// axiomatic half of what `make litmus` and /v1/litmus pay per job. The
-// sym=on/sym=off variants isolate the symmetry quotient: same verdicts
-// (pinned by the differential tests), fewer states explored.
+// axiomatic half of what `make litmus` and /v1/litmus pay per job.
 func BenchmarkLitmusCorpus(b *testing.B) {
 	tests, err := litmus.Corpus()
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, bc := range []struct {
-		name string
-		tune bccheck.Tuning
-	}{
-		{"sym=on", bccheck.Tuning{}},
-		{"sym=off", bccheck.Tuning{DisableSymmetry: true}},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			var states int
-			for i := 0; i < b.N; i++ {
-				states = 0
-				for _, t := range tests {
-					rep, err := litmus.RunTuned(t, nil, bc.tune)
-					if err != nil {
-						b.Fatal(err)
-					}
-					states += rep.States
-				}
+	b.ReportAllocs()
+	var states int
+	for i := 0; i < b.N; i++ {
+		states = 0
+		for _, t := range tests {
+			rep, err := litmus.Run(t, nil)
+			if err != nil {
+				b.Fatal(err)
 			}
-			b.ReportMetric(float64(states), "states")
-			b.ReportMetric(float64(states)*float64(b.N)/b.Elapsed().Seconds(), "states/s")
-		})
+			states += rep.States
+		}
 	}
+	b.ReportMetric(float64(states), "states")
+	b.ReportMetric(float64(states)*float64(b.N)/b.Elapsed().Seconds(), "states/s")
 }
 
 // BenchmarkPDESStencil sweeps the parallel engine's worker count on a

@@ -36,7 +36,6 @@ import (
 // explain, and fuzz.
 func tuningFlags(fs *flag.FlagSet) func() (bccheck.Tuning, error) {
 	por := fs.String("por", "on", "partial-order reduction: on or off")
-	sym := fs.String("sym", "on", "symmetry reduction: on or off")
 	workers := fs.Int("workers", 0, "exploration workers (0 = GOMAXPROCS)")
 	return func() (bccheck.Tuning, error) {
 		switch *por {
@@ -44,12 +43,7 @@ func tuningFlags(fs *flag.FlagSet) func() (bccheck.Tuning, error) {
 		default:
 			return bccheck.Tuning{}, fmt.Errorf("-por must be on or off, got %q", *por)
 		}
-		switch *sym {
-		case "on", "off":
-		default:
-			return bccheck.Tuning{}, fmt.Errorf("-sym must be on or off, got %q", *sym)
-		}
-		return bccheck.Tuning{DisablePOR: *por == "off", DisableSymmetry: *sym == "off", Workers: *workers}, nil
+		return bccheck.Tuning{DisablePOR: *por == "off", Workers: *workers}, nil
 	}
 }
 
@@ -92,7 +86,7 @@ func usage() {
                                                chaos sweep: same check under fault injection
   ssmplitmus show name                         print a corpus test's JSON
   ssmplitmus explain [-seeds N] name outcome   show the execution graph of a run producing outcome
-  ssmplitmus fuzz [-budget D | -n N] [-rng S] [-seeds N] [-por on|off] [-sym on|off] [-workers N]
+  ssmplitmus fuzz [-budget D | -n N] [-rng S] [-seeds N] [-por on|off] [-workers N]
                                                fuzz random programs against the model
   ssmplitmus farm [-budget D | -n N] [-rng S] [-seeds N] [-farm-workers N] [-out DIR] [-report]
                                                grow a deduplicated axiom-tagged corpus`)

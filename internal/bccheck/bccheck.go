@@ -77,32 +77,29 @@ type Options struct {
 	// LocName renders locations in witness labels (default "b<B>w<W>").
 	LocName func(Loc) string
 	// Witnesses asks for one witness trace per outcome. Witness mode
-	// forces the serial canonical engine and disables symmetry reduction
-	// (see Tuning).
+	// forces the serial canonical engine (see Tuning).
 	Witnesses bool
 	// Mutate ablates one axiom family of the model (see Mutation). Used
-	// by axiom-coverage analysis; a non-zero mutation forces DisablePOR
-	// and DisableSymmetry, since both reductions are proved against the
-	// unmutated semantics.
+	// by axiom-coverage analysis; a non-zero mutation forces DisablePOR,
+	// since the reduction is proved against the unmutated semantics.
 	Mutate Mutation
 	// Tuning selects exploration-engine variants. The zero value — POR
-	// on, symmetry on, workers = GOMAXPROCS — is correct for all
-	// programs; Tuning only trades time for reproduction of the
-	// unreduced state count.
+	// on, workers = GOMAXPROCS — is correct for all programs; Tuning
+	// only trades time for reproduction of the unreduced state count.
 	Tuning Tuning
 }
 
 // Tuning selects exploration strategies. Every setting preserves the
-// outcome set; DisablePOR and DisableSymmetry additionally preserve the
-// unreduced state count, and any Workers value yields results
-// bit-identical to Workers=1.
+// outcome set; DisablePOR additionally preserves the unreduced state
+// count, and any Workers value yields results bit-identical to
+// Workers=1.
 type Tuning struct {
 	// DisablePOR turns off partial-order reduction, exploring the full
 	// interleaving graph (the pre-reduction semantics).
 	DisablePOR bool
-	// DisableSymmetry turns off symmetry reduction: states are no longer
-	// canonicalized under the program's processor/block/barrier
-	// automorphisms, so States counts orbit members individually.
+	// DisableSymmetry has no effect. It once turned off a symmetry
+	// quotient that cost more time than it saved and was removed; the
+	// field stays so existing callers keep compiling.
 	DisableSymmetry bool
 	// Workers caps exploration parallelism. 0 means GOMAXPROCS; 1 forces
 	// the serial engine.
@@ -172,10 +169,8 @@ type Result struct {
 	// Outcomes is the allowed set, sorted by Key.
 	Outcomes []Outcome
 	// States is the number of distinct abstract-machine states visited.
-	// With partial-order reduction and symmetry reduction on (the
-	// default) this counts the reduced quotient graph; with
-	// Tuning.DisablePOR and Tuning.DisableSymmetry it matches the full
-	// graph.
+	// With partial-order reduction on (the default) this counts the
+	// reduced graph; with Tuning.DisablePOR it matches the full graph.
 	States int
 	// Pruned counts enabled transitions skipped by partial-order
 	// reduction. Zero when Tuning.DisablePOR is set.

@@ -104,21 +104,14 @@
 // any worker count. Witness mode forces the serial canonical
 // depth-first engine, which also defines the canonical deadlock report.
 //
-// Symmetry reduction (sym.go) quotients the state space by the program's
-// automorphism group: processor/block/barrier renamings under which the
-// compiled system is invariant, computed once at compile time. Each
-// successor is replaced by its orbit representative (least encoding, via
-// a fused permuted encoder that never materializes non-winning orbit
-// members), terminal outcomes are closed under the group again, and
-// deadlock/state-limit labels are mapped back through the accumulated
-// permutation — so Result keys and error reports are exactly the
-// symmetry-off ones at a fraction of the states. Tuning.DisableSymmetry
-// turns the quotient off; witness mode and model mutations disable it
-// automatically.
+// There is no symmetry reduction: on the litmus corpus a quotient by
+// processor/block/barrier automorphisms cuts too few states to pay for
+// canonicalizing every successor (DESIGN.md §8.5), so
+// Tuning.DisableSymmetry is a no-op.
 //
 // Model mutations (mutate.go) are single-axiom ablations used by
 // internal/litmus to compute axiom-coverage vectors: a mutated model
-// explores the full graph (both reductions are proved against the real
-// semantics only) and a test covers an axiom iff its outcome-key set
+// explores the full graph (POR is proved against the real semantics
+// only) and a test covers an axiom iff its outcome-key set
 // changes under that axiom's mutation.
 package bccheck

@@ -50,15 +50,11 @@ func (e *engine) limitError() error {
 	}
 }
 
-// deadlockError renders the serial path to a stuck state. Under symmetry
-// reduction the path's states live in canonicalized numbering; each label
-// is mapped back through the cumulative permutation recorded when it was
-// emitted, so reports always read in the program's own numbering.
-func (e *engine) deadlockError(path []sdesc, views []permView) error {
+// deadlockError renders the serial path to a stuck state.
+func (e *engine) deadlockError(path []sdesc) error {
 	labels := make([]string, len(path))
 	for i := range path {
-		d := e.c.origDesc(path[i], views[i])
-		labels[i] = e.c.render(&d)
+		labels[i] = e.c.render(&path[i])
 	}
 	return fmt.Errorf("bccheck: deadlock after: %s", strings.Join(labels, "; "))
 }
@@ -72,12 +68,6 @@ func (e *engine) deadlockError(path []sdesc, views []permView) error {
 func (e *engine) canonicalPrefix(n int) []string {
 	w := newWorker(e)
 	s := e.c.initial(w)
-	cv := identView()
-	if len(e.c.syms) > 0 {
-		var gi int
-		s, gi = w.canonicalize(s)
-		cv = e.c.composeView(gi, cv)
-	}
 	var out []string
 	for len(out) < n {
 		var first *mstate
@@ -92,15 +82,9 @@ func (e *engine) canonicalPrefix(n int) []string {
 		if first == nil {
 			break
 		}
-		od := e.c.origDesc(fd, cv)
-		out = append(out, e.c.render(&od))
+		out = append(out, e.c.render(&fd))
 		w.put(s)
 		s = first
-		if len(e.c.syms) > 0 {
-			var gi int
-			s, gi = w.canonicalize(s)
-			cv = e.c.composeView(gi, cv)
-		}
 	}
 	w.put(s)
 	return out
@@ -112,57 +96,41 @@ func (e *engine) canonicalPrefix(n int) []string {
 func (e *engine) runSerial() (map[string]*Outcome, error) {
 	w := newWorker(e)
 	s0 := e.c.initial(w)
-	cv0 := identView()
-	if len(e.c.syms) > 0 {
-		var gi int
-		s0, gi = w.canonicalize(s0)
-		cv0 = e.c.composeView(gi, cv0)
-		e.vis.add(hash128(w.encBest))
-	} else {
-		e.vis.add(w.hash(s0))
-	}
+	e.vis.add(w.hash(s0))
 	e.states.Store(1)
 	var path []sdesc
-	var views []permView
-	var dfs func(s *mstate, cv permView) error
-	dfs = func(s *mstate, cv permView) error {
+	var dfs func(s *mstate) error
+	dfs = func(s *mstate) error {
 		emitted := 0
 		var ferr error
 		e.expandReduced(w, s, func(d sdesc, ns *mstate) {
 			emitted++
-			if ferr != nil {
+			if ferr != nil || !e.vis.add(w.hash(ns)) {
 				w.put(ns)
 				return
 			}
-			nc, gi, fresh := w.canonAdd(ns)
-			if !fresh {
-				w.put(nc)
-				return
-			}
 			if e.states.Add(1) > e.limit {
-				w.put(nc)
+				w.put(ns)
 				ferr = e.limitError()
 				return
 			}
 			path = append(path, d)
-			views = append(views, cv)
-			ferr = dfs(nc, e.c.composeView(gi, cv))
+			ferr = dfs(ns)
 			path = path[:len(path)-1]
-			views = views[:len(views)-1]
-			w.put(nc)
+			w.put(ns)
 		})
 		if ferr != nil {
 			return ferr
 		}
 		if emitted == 0 {
 			if !e.c.quiescent(s) {
-				return e.deadlockError(path, views)
+				return e.deadlockError(path)
 			}
 			w.record(s, path)
 		}
 		return nil
 	}
-	err := dfs(s0, cv0)
+	err := dfs(s0)
 	w.put(s0)
 	if err != nil {
 		return nil, err
@@ -247,7 +215,7 @@ func (e *engine) runParallel(nw int) (map[string]*Outcome, error) {
 		ws[i] = &pworker{worker: worker{e: e, outcomes: make(map[string]*Outcome)}}
 	}
 	s0 := e.c.initial(&ws[0].worker)
-	s0, _, _ = ws[0].canonAdd(s0)
+	e.vis.add(ws[0].hash(s0))
 	e.states.Store(1)
 	e.pending.Store(1)
 	ws[0].pushBack(item{s: s0})
@@ -307,22 +275,17 @@ func (e *engine) expandItem(w *pworker, s *mstate) {
 	emitted := 0
 	e.expandReduced(&w.worker, s, func(d sdesc, ns *mstate) {
 		emitted++
-		if e.stop.Load() {
+		if e.stop.Load() || !e.vis.add(w.hash(ns)) {
 			w.put(ns)
 			return
 		}
-		nc, _, fresh := w.canonAdd(ns)
-		if !fresh {
-			w.put(nc)
-			return
-		}
 		if e.states.Add(1) > e.limit {
-			w.put(nc)
+			w.put(ns)
 			e.failWith(e.limitError())
 			return
 		}
 		e.pending.Add(1)
-		w.pushBack(item{s: nc})
+		w.pushBack(item{s: ns})
 	})
 	if emitted == 0 {
 		if !e.c.quiescent(s) {
@@ -338,24 +301,6 @@ func (e *engine) expandItem(w *pworker, s *mstate) {
 }
 
 func (e *engine) result(out map[string]*Outcome) *Result {
-	// Close the terminal outcome set under the automorphism group: the
-	// quotient exploration records one representative per outcome orbit,
-	// and g·o is allowed whenever o is, so a single pass over each group
-	// element restores exactly the symmetry-off key set.
-	if c := e.c; len(c.syms) > 0 {
-		base := make([]*Outcome, 0, len(out))
-		for _, o := range out {
-			base = append(base, o)
-		}
-		for _, o := range base {
-			for gi := range c.syms {
-				po := c.permOutcome(&c.syms[gi], o)
-				if k := po.Key(); out[k] == nil {
-					out[k] = po
-				}
-			}
-		}
-	}
 	res := &Result{
 		States: int(e.states.Load()),
 		Pruned: int(e.pruned.Load()),

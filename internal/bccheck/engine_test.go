@@ -1,7 +1,9 @@
 package bccheck
 
 import (
+	"errors"
 	"reflect"
+	"regexp"
 	"testing"
 )
 
@@ -137,6 +139,95 @@ func TestWitnessStableAcrossTunings(t *testing.T) {
 		if len(o.Witness) == 0 {
 			t.Errorf("outcome %q missing witness", o.Key())
 		}
+	}
+}
+
+// symProgs returns programs with processor/location symmetries: the
+// shapes a symmetry quotient would collapse, kept as engine stress
+// because their states come in large mirror-image families.
+func symProgs() map[string]Program {
+	x := Loc{Block: 0}
+	y := Loc{Block: 1}
+	return map[string]Program{
+		"sb-swap": {
+			{{Op: OpWriteGlobal, Loc: x, Val: 1}, {Op: OpReadGlobal, Loc: y}},
+			{{Op: OpWriteGlobal, Loc: y, Val: 1}, {Op: OpReadGlobal, Loc: x}},
+		},
+		"three-writers": {
+			{{Op: OpWriteGlobal, Loc: x, Val: 1}, {Op: OpReadGlobal, Loc: x}},
+			{{Op: OpWriteGlobal, Loc: x, Val: 1}, {Op: OpReadGlobal, Loc: x}},
+			{{Op: OpWriteGlobal, Loc: x, Val: 1}, {Op: OpReadGlobal, Loc: x}},
+		},
+		"iriw-pairs": {
+			{{Op: OpWriteGlobal, Loc: x, Val: 1}},
+			{{Op: OpWriteGlobal, Loc: y, Val: 1}},
+			{{Op: OpReadGlobal, Loc: x}, {Op: OpReadGlobal, Loc: y}},
+			{{Op: OpReadGlobal, Loc: y}, {Op: OpReadGlobal, Loc: x}},
+		},
+		"asymmetric-values": {
+			{{Op: OpWriteGlobal, Loc: x, Val: 1}, {Op: OpReadGlobal, Loc: y}},
+			{{Op: OpWriteGlobal, Loc: y, Val: 2}, {Op: OpReadGlobal, Loc: x}},
+		},
+	}
+}
+
+// TestSymmetryMatrix is the combos net on the symmetric programs: every
+// DisablePOR × Workers configuration agrees on outcome keys, and
+// configurations that differ only in worker count agree on
+// States/Pruned exactly.
+func TestSymmetryMatrix(t *testing.T) {
+	for name, prog := range symProgs() {
+		var ref []string
+		for _, por := range []bool{false, true} {
+			wantK, wantS, wantP := snapshot(t, prog, Options{Tuning: Tuning{DisablePOR: por, Workers: 1}})
+			if ref == nil {
+				ref = wantK
+			} else if !reflect.DeepEqual(wantK, ref) {
+				t.Errorf("%s por=%v: keys %v, want %v", name, por, wantK, ref)
+			}
+			for _, workers := range []int{2, 4} {
+				gotK, gotS, gotP := snapshot(t, prog, Options{Tuning: Tuning{DisablePOR: por, Workers: workers}})
+				if !reflect.DeepEqual(gotK, ref) {
+					t.Errorf("%s por=%v w=%d: keys %v, want %v", name, por, workers, gotK, ref)
+				}
+				if gotS != wantS || gotP != wantP {
+					t.Errorf("%s por=%v w=%d: states/pruned %d/%d, want %d/%d",
+						name, por, workers, gotS, gotP, wantS, wantP)
+				}
+			}
+		}
+	}
+}
+
+// TestStateLimitPrefixUnderSymmetry: the canonical prefix attached to a
+// state-limit error on a symmetric program renders in the program's own
+// numbering and is identical across worker counts (it is recomputed by
+// a deterministic serial walk).
+func TestStateLimitPrefixUnderSymmetry(t *testing.T) {
+	prog := symProgs()["three-writers"]
+	label := regexp.MustCompile(`^P[0-2][:']`)
+	var prefixes [][]string
+	for _, workers := range []int{1, 4} {
+		_, err := Enumerate(prog, Options{MaxStates: 4, Tuning: Tuning{Workers: workers}})
+		if !errors.Is(err, ErrStateLimit) {
+			t.Fatalf("workers=%d: want ErrStateLimit, got %v", workers, err)
+		}
+		var sle *StateLimitError
+		if !errors.As(err, &sle) {
+			t.Fatalf("workers=%d: want *StateLimitError, got %T", workers, err)
+		}
+		if len(sle.Prefix) == 0 {
+			t.Fatalf("workers=%d: empty canonical prefix", workers)
+		}
+		for _, l := range sle.Prefix {
+			if !label.MatchString(l) {
+				t.Errorf("workers=%d: prefix label %q not in program numbering", workers, l)
+			}
+		}
+		prefixes = append(prefixes, sle.Prefix)
+	}
+	if !reflect.DeepEqual(prefixes[0], prefixes[1]) {
+		t.Errorf("prefix differs across worker counts:\n%v\n%v", prefixes[0], prefixes[1])
 	}
 }
 

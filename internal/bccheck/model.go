@@ -33,14 +33,6 @@ type compiled struct {
 	wit     bool
 	mut     Mutation
 
-	// Symmetry reduction (sym.go): the non-identity automorphisms of the
-	// program system, plus user-id lookup tables for mapping report
-	// labels back to original numbering. Empty when symmetry is off or
-	// the group is trivial.
-	syms    []symPerm
-	blkByID map[int]int
-	barByID map[int]int
-
 	// Flat-state layout: per-proc segment offsets into mstate.regs/buf.
 	regOff []int32
 	regCap int
@@ -127,10 +119,9 @@ func compile(prog Program, opts Options) (*compiled, error) {
 		mut:     opts.Mutate,
 	}
 	if c.mut != MutNone {
-		// Mutated semantics invalidate the POR commutation argument and
-		// the automorphism group; explore the full graph.
+		// Mutated semantics invalidate the POR commutation argument;
+		// explore the full graph.
 		c.tune.DisablePOR = true
-		c.tune.DisableSymmetry = true
 	}
 	if c.max <= 0 {
 		c.max = defaultMaxStates
@@ -237,12 +228,6 @@ func compile(prog Program, opts Options) (*compiled, error) {
 
 	c.layout()
 	c.computeMasks()
-	// Witness labels are rendered in the numbering of the explored
-	// states, so witness mode keeps the identity numbering by skipping
-	// symmetry entirely (it already forces the serial engine).
-	if !c.wit && !c.tune.DisableSymmetry {
-		c.computeSyms()
-	}
 	return c, nil
 }
 

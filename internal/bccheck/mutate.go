@@ -8,11 +8,10 @@ package bccheck
 // mutation iff that axiom family constrains (or licenses) one of the
 // test's outcomes.
 //
-// A mutated model is not the BC model: the POR soundness argument and
-// the symmetry automorphisms are proved against the real semantics, so
-// compile() forces DisablePOR and DisableSymmetry whenever a mutation is
-// active. Mutated enumerations are only ever run on small (shrunk)
-// programs, where the full graph is cheap.
+// A mutated model is not the BC model: the POR soundness argument is
+// proved against the real semantics, so compile() forces DisablePOR
+// whenever a mutation is active. Mutated enumerations are only ever run
+// on small (shrunk) programs, where the full graph is cheap.
 
 import "fmt"
 

@@ -46,11 +46,11 @@ func TestUnknownMutationRejected(t *testing.T) {
 }
 
 // TestMutationsDisableReductions: a mutated model explores the full
-// interleaving graph — POR pruning and the symmetry quotient are both
-// proved against the real semantics only.
+// interleaving graph — POR pruning is proved against the real semantics
+// only.
 func TestMutationsDisableReductions(t *testing.T) {
 	prog := enginePrograms()["sb"]
-	full, err := Enumerate(prog, Options{Tuning: Tuning{DisablePOR: true, DisableSymmetry: true, Workers: 1}})
+	full, err := Enumerate(prog, Options{Tuning: Tuning{DisablePOR: true, Workers: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}

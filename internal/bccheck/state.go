@@ -108,15 +108,12 @@ func (c *compiled) newState() *mstate {
 // worker is one exploration context: a state free list, the encode
 // scratch buffer, and a local outcome map merged at the end of the run.
 type worker struct {
-	e         *engine
-	free      []*mstate
-	scratch   []byte
-	encBest   []byte // canonical encoding of the last canonicalize()
-	sortIdx   []int32
-	keybuf    []byte
-	permProps []propm  // encodePerm scratch
-	permUnsub []unsubm // encodePerm scratch
-	outcomes  map[string]*Outcome
+	e        *engine
+	free     []*mstate
+	scratch  []byte
+	sortIdx  []int32
+	keybuf   []byte
+	outcomes map[string]*Outcome
 }
 
 func newWorker(e *engine) *worker {

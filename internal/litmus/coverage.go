@@ -34,7 +34,7 @@ var axiomMut = map[string]bccheck.Mutation{
 }
 
 // coverageMaxStates bounds each ablation enumeration. Mutated models
-// explore the full graph (mutations force POR and symmetry off), so the
+// explore the full graph (mutations force POR off), so the
 // farm skips candidates whose ablations blow past this instead of
 // stalling a campaign.
 const coverageMaxStates = 400_000

@@ -5,10 +5,9 @@ package litmus
 // single violation. Each candidate is cross-validated (machine vs. model),
 // tagged with its axiom-coverage vector, shrunk while preserving that
 // vector, and canonicalized under processor permutation and location/value
-// renaming — the same symmetry the checker quotients by — so the campaign
-// keeps one representative per behavioral equivalence class. Accepted
-// tests pin their exact allowed set, letting CI replay detect model drift
-// in either direction.
+// renaming, so the campaign keeps one representative per behavioral
+// equivalence class. Accepted tests pin their exact allowed set, letting
+// CI replay detect model drift in either direction.
 
 import (
 	"context"
@@ -273,7 +272,7 @@ func farmOne(i int, campaign uint64, seeds []uint64, tune bccheck.Tuning, maxSta
 		return farmResult{err: fmt.Errorf("farm candidate %d canonicalize: %w", i, err)}
 	}
 	// Re-validate the canonical form and pin its exact allowed set. Its
-	// coverage vector equals the shrunk test's by symmetry, but it is
+	// coverage vector equals the shrunk test's up to renaming, but it is
 	// recomputed so the stored tag is self-consistent by construction.
 	crep, err := RunTuned(canon, seeds, tune)
 	if err != nil {

@@ -49,6 +49,49 @@ func TestCanonicalizeInvariance(t *testing.T) {
 	}
 }
 
+// FuzzLitmusParse checks that canonicalization is a fixpoint on any test
+// Parse accepts: re-parsing the canonical test and canonicalizing it again
+// gives the same class key. Tests with pinned locations, init values or
+// observes are outside canonicalize's domain and are skipped.
+func FuzzLitmusParse(f *testing.F) {
+	seeds, err := filepath.Glob("testdata/*.json")
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, path := range seeds {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		lt, err := Parse(data)
+		if err != nil || len(lt.Locations) > 0 || len(lt.Init) > 0 || len(lt.Observe) > 0 {
+			return
+		}
+		canon, key, err := canonicalize(lt)
+		if err != nil {
+			t.Fatalf("canonicalize of a parsed test: %v", err)
+		}
+		enc, err := json.Marshal(canon)
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := Parse(enc)
+		if err != nil {
+			t.Fatalf("canonical test does not parse: %v\n%s", err, enc)
+		}
+		_, key2, err := canonicalize(back)
+		if err != nil {
+			t.Fatalf("canonicalize of the canonical test: %v", err)
+		}
+		if key2 != key {
+			t.Fatalf("canonical form is not a fixpoint:\n first %q\nsecond %q", key, key2)
+		}
+	})
+}
+
 // TestCanonicalizeClassifiesLocks: a block touched by lock ops keeps one
 // identity even when it also carries plain reads/writes (the lock-data
 // pattern), and barriers stay barriers.

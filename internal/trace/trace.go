@@ -84,6 +84,11 @@ type Event struct {
 	Write, Hit bool
 }
 
+// MaxProcs bounds the processor ids a trace may name. Parse grows
+// Trace.Procs to the largest id it sees, so an unchecked header such as
+// `proc 4000000000` would allocate before any machine-size check runs.
+const MaxProcs = 1 << 16
+
 // Trace is a per-processor event list.
 type Trace struct {
 	// Procs[i] is processor i's event sequence.
@@ -144,8 +149,8 @@ func Parse(r io.Reader) (*Trace, error) {
 				return nil, fmt.Errorf("trace:%d: malformed proc header", lineNo)
 			}
 			id, err := strconv.Atoi(fields[1])
-			if err != nil || id < 0 {
-				return nil, fmt.Errorf("trace:%d: bad proc id %q", lineNo, fields[1])
+			if err != nil || id < 0 || id >= MaxProcs {
+				return nil, fmt.Errorf("trace:%d: bad proc id %q (want 0 to %d)", lineNo, fields[1], MaxProcs-1)
 			}
 			for len(t.Procs) <= id {
 				t.Procs = append(t.Procs, nil)

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -55,8 +56,7 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
-func TestParseCommentsAndBlanks(t *testing.T) {
-	in := `
+const commentedTrace = `
 # a trace
 proc 0
 
@@ -64,7 +64,9 @@ proc 0
 r 40
 think 3
 `
-	tr, err := Parse(strings.NewReader(in))
+
+func TestParseCommentsAndBlanks(t *testing.T) {
+	tr, err := Parse(strings.NewReader(commentedTrace))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,29 +75,34 @@ think 3
 	}
 }
 
+// parseErrorCases are inputs Parse must reject.
+var parseErrorCases = []string{
+	"r 40",              // event before proc header
+	"proc x",            // bad id
+	"proc 4000000000",   // id beyond MaxProcs (would allocate ~100 GB)
+	"proc 65536",        // first id past MaxProcs
+	"proc 0\nzz 1",      // unknown op
+	"proc 0\nw 1",       // missing value
+	"proc 0\npriv r",    // missing hit/miss
+	"proc 0\npriv q h",  // bad mode
+	"proc 0\npriv r q",  // bad outcome
+	"proc 0\nbar 300",   // missing count
+	"proc 0\nr abc",     // bad addr
+	"proc 0\nthink abc", // bad cycles
+}
+
 func TestParseErrors(t *testing.T) {
-	cases := []string{
-		"r 40",              // event before proc header
-		"proc x",            // bad id
-		"proc 0\nzz 1",      // unknown op
-		"proc 0\nw 1",       // missing value
-		"proc 0\npriv r",    // missing hit/miss
-		"proc 0\npriv q h",  // bad mode
-		"proc 0\npriv r q",  // bad outcome
-		"proc 0\nbar 300",   // missing count
-		"proc 0\nr abc",     // bad addr
-		"proc 0\nthink abc", // bad cycles
-	}
-	for _, in := range cases {
+	for _, in := range parseErrorCases {
 		if _, err := Parse(strings.NewReader(in)); err == nil {
 			t.Errorf("Parse(%q) accepted", in)
 		}
 	}
 }
 
+const sparseTrace = "proc 2\nr 40\n"
+
 func TestSparseProcSections(t *testing.T) {
-	in := "proc 2\nr 40\n"
-	tr, err := Parse(strings.NewReader(in))
+	tr, err := Parse(strings.NewReader(sparseTrace))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,4 +208,36 @@ func TestQuickRoundTrip(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// FuzzTraceParse checks the text format round-trips: for any input Parse
+// accepts, writing the trace and parsing it again gives the same trace.
+func FuzzTraceParse(f *testing.F) {
+	var buf bytes.Buffer
+	if err := sample().Write(&buf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.String())
+	f.Add(commentedTrace)
+	f.Add(sparseTrace)
+	for _, in := range parseErrorCases {
+		f.Add(in)
+	}
+	f.Fuzz(func(t *testing.T, in string) {
+		tr, err := Parse(strings.NewReader(in))
+		if err != nil {
+			return
+		}
+		var out bytes.Buffer
+		if err := tr.Write(&out); err != nil {
+			t.Fatalf("Write of a parsed trace: %v", err)
+		}
+		back, err := Parse(&out)
+		if err != nil {
+			t.Fatalf("Parse of written trace: %v\n%s", err, out.String())
+		}
+		if !reflect.DeepEqual(back, tr) {
+			t.Fatalf("round trip changed the trace:\n got %+v\nwant %+v", back, tr)
+		}
+	})
 }
