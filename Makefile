@@ -13,8 +13,10 @@ test:
 race:
 	$(GO) test -race ./...
 
+# Vet, then fail on any Go file gofmt would rewrite.
 vet:
 	$(GO) vet ./...
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l lists unformatted files:"; echo "$$out"; exit 1; fi
 
 # The repo's benchmark (perfbench/README.md): one untraced 25 s run of each
 # workload BENCHMARK.json lists, failing on any failed op. Full records are
@@ -33,7 +35,7 @@ bench:
 # module, which the root `go test ./...` skips; used by CI, where timing
 # numbers would be noise anyway.
 bench-smoke:
-	$(GO) test '-bench=SimulatorThroughput|Enumerate|EngineQueue' -benchtime=1x -run=^$$ . ./internal/sim/
+	$(GO) test '-bench=SimulatorThroughput|Enumerate|EngineQueue|CoverageVector' -benchtime=1x -run=^$$ . ./internal/sim/
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # PDES determinism gate: the parallel engine's unit tests, the window-merge
@@ -65,9 +67,11 @@ litmus:
 # every §2 axiom family covered) replayed end to end under the race
 # detector — canonical-form fixpoint, recomputed coverage vectors, pinned
 # allowed sets, simulator cross-validation, and engine-configuration
-# agreement (POR on/off, any worker count) on every test.
+# agreement (POR on/off, any worker count) on every test, and coverage
+# vectors equal to the one-at-a-time reference loop's on the corpus and on
+# fresh farm candidates.
 farm:
-	$(GO) test -race -run 'TestGeneratedCorpusReplay|TestDifferentialGenerated|TestFarm|TestCanonicalize' \
+	$(GO) test -race -run 'TestGeneratedCorpusReplay|TestDifferentialGenerated|TestFarm|TestCanonicalize|TestCoverageVector' \
 		./internal/litmus/
 
 # Regenerate the committed farm corpus from scratch (deterministic: the

@@ -875,6 +875,51 @@ func BenchmarkLitmusCorpus(b *testing.B) {
 	b.ReportMetric(float64(states)*float64(b.N)/b.Elapsed().Seconds(), "states/s")
 }
 
+// BenchmarkCoverageVector computes the axiom-coverage vector of every
+// committed litmus test, hand-written and farm-generated: the coverage
+// half of a litmus-replay pass and of each farm shrink step. It reports
+// the time per corpus and how many enumerations a corpus pass runs (the
+// strict one plus each reachable ablation) and skips (each ablation the
+// program cannot reach).
+func BenchmarkCoverageVector(b *testing.B) {
+	hand, err := litmus.Corpus()
+	if err != nil {
+		b.Fatal(err)
+	}
+	gen, err := litmus.Generated()
+	if err != nil {
+		b.Fatal(err)
+	}
+	tests := append(hand, gen...)
+	run, skipped := 0, 0
+	for _, t := range tests {
+		prog, _, err := t.Program()
+		if err != nil {
+			b.Fatal(err)
+		}
+		run++
+		for m := bccheck.MutFIFO; m <= bccheck.MutBarrier; m++ {
+			if m.Reachable(prog) {
+				run++
+			} else {
+				skipped++
+			}
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, t := range tests {
+			if _, err := litmus.CoverageVector(t); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(b.Elapsed().Seconds()*1e3/float64(b.N), "ms/corpus")
+	b.ReportMetric(float64(run), "run-enums")
+	b.ReportMetric(float64(skipped), "skipped-enums")
+}
+
 // BenchmarkPDESStencil sweeps the parallel engine's worker count on a
 // 512-node nearest-neighbour stencil — the PDES scaling workload. The
 // workers=0 variant is the classic serial engine, i.e. the sequential

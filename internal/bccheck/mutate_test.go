@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-// keySet enumerates prog under the given mutation (full graph, serial)
+// mutKeys enumerates prog under the given mutation (full graph, serial)
 // and returns its outcome keys plus the result.
 func mutKeys(t *testing.T, prog Program, m Mutation) (*Result, []string) {
 	t.Helper()
@@ -14,6 +14,19 @@ func mutKeys(t *testing.T, prog Program, m Mutation) (*Result, []string) {
 		t.Fatalf("enumerate mutate=%v: %v", m, err)
 	}
 	return res, res.Keys()
+}
+
+// mutPair returns prog's outcome keys under the real model and under m,
+// after checking that m.Reachable counts prog: a program whose allowed
+// set m changes must never be skipped.
+func mutPair(t *testing.T, prog Program, m Mutation) (strict, mutated []string) {
+	t.Helper()
+	if !m.Reachable(prog) {
+		t.Fatalf("%v.Reachable is false for a program it changes", m)
+	}
+	_, strict = mutKeys(t, prog, MutNone)
+	_, mutated = mutKeys(t, prog, m)
+	return strict, mutated
 }
 
 func TestMutationString(t *testing.T) {
@@ -74,8 +87,7 @@ func TestMutFIFOWeakens(t *testing.T) {
 		{{Op: OpWriteGlobal, Loc: x, Val: 1}, {Op: OpWriteGlobal, Loc: f, Val: 1}},
 		{{Op: OpReadGlobal, Loc: f}, {Op: OpReadGlobal, Loc: x}},
 	}
-	_, strict := mutKeys(t, prog, MutNone)
-	_, mutated := mutKeys(t, prog, MutFIFO)
+	strict, mutated := mutPair(t, prog, MutFIFO)
 	if reflect.DeepEqual(strict, mutated) {
 		t.Fatal("MutFIFO did not change the allowed set of buffered MP")
 	}
@@ -91,8 +103,7 @@ func TestMutFIFOWeakens(t *testing.T) {
 // rendezvous is ablated.
 func TestMutBarrierWeakens(t *testing.T) {
 	prog := enginePrograms()["barrier-mp"]
-	_, strict := mutKeys(t, prog, MutNone)
-	_, mutated := mutKeys(t, prog, MutBarrier)
+	strict, mutated := mutPair(t, prog, MutBarrier)
 	if reflect.DeepEqual(strict, mutated) {
 		t.Fatal("MutBarrier did not change the allowed set of barrier-mp")
 	}
@@ -121,8 +132,7 @@ func TestMutNPSynchStrengthens(t *testing.T) {
 			{Op: OpUnlock, Loc: l},
 		},
 	}
-	_, strict := mutKeys(t, prog, MutNone)
-	_, mutated := mutKeys(t, prog, MutNPSynch)
+	strict, mutated := mutPair(t, prog, MutNPSynch)
 	if reflect.DeepEqual(strict, mutated) {
 		t.Fatal("MutNPSynch did not change the allowed set")
 	}
@@ -145,8 +155,7 @@ func TestMutCoherenceWeakens(t *testing.T) {
 		{{Op: OpReadUpdate, Loc: x}, {Op: OpWrite, Loc: x, Val: 9}, {Op: OpRead, Loc: x}},
 		{{Op: OpWriteGlobal, Loc: x, Val: 1}, {Op: OpFlush}},
 	}
-	_, strict := mutKeys(t, prog, MutNone)
-	_, mutated := mutKeys(t, prog, MutCoherence)
+	strict, mutated := mutPair(t, prog, MutCoherence)
 	if reflect.DeepEqual(strict, mutated) {
 		t.Fatal("MutCoherence did not change the allowed set")
 	}

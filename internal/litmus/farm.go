@@ -98,6 +98,12 @@ func farmSeed(campaign uint64, i int) int64 {
 	return int64(z ^ (z >> 31))
 }
 
+// FarmCandidate returns candidate i of the campaign seeded rng: the
+// generated program a farm run cross-validates, tags and shrinks.
+func FarmCandidate(rng uint64, i int) *Test {
+	return generate(rand.New(rand.NewSource(farmSeed(rng, i))), i)
+}
+
 // Farm runs a campaign and returns the accepted corpus sorted by name.
 // The corpus content is a pure function of (Rng, Count, Seeds, MaxStates):
 // worker count and scheduling affect only throughput, and under a Budget
@@ -227,8 +233,7 @@ type farmResult struct {
 // farmOne runs the full per-candidate pipeline: generate, cross-validate,
 // coverage-tag, shrink preserving the vector, canonicalize, pin.
 func farmOne(i int, campaign uint64, seeds []uint64, tune bccheck.Tuning, maxStates int) farmResult {
-	rng := rand.New(rand.NewSource(farmSeed(campaign, i)))
-	t := generate(rng, i)
+	t := FarmCandidate(campaign, i)
 	rep, err := RunTuned(t, seeds, tune)
 	if err != nil {
 		if errors.Is(err, bccheck.ErrStateLimit) {
@@ -265,7 +270,7 @@ func farmOne(i int, campaign uint64, seeds []uint64, tune bccheck.Tuning, maxSta
 	// program that still exercises the same axiom families.
 	shrunk := shrink(t, func(c *Test) bool {
 		cv, err := CoverageVector(c)
-		return err == nil && equalCoverage(cv, cov)
+		return err == nil && equalKeys(cv, cov)
 	})
 	canon, key, err := canonicalize(shrunk)
 	if err != nil {

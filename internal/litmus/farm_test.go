@@ -218,7 +218,7 @@ func TestGeneratedCorpusReplay(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: coverage: %v", lt.Name, err)
 		}
-		if !equalCoverage(cov, lt.Coverage) {
+		if !equalKeys(cov, lt.Coverage) {
 			t.Errorf("%s: stored coverage %v, computed %v", lt.Name, lt.Coverage, cov)
 		}
 		for _, ax := range cov {
@@ -255,7 +255,7 @@ func TestGeneratedCorpusReplay(t *testing.T) {
 			t.Errorf("%s: coverage: %v", lt.Name, err)
 			continue
 		}
-		if !equalCoverage(cov, lt.Coverage) {
+		if !equalKeys(cov, lt.Coverage) {
 			t.Errorf("%s: stored coverage %v, computed %v", lt.Name, lt.Coverage, cov)
 		}
 		rep, err := RunTuned(lt, Seeds(8), bccheck.Tuning{})

@@ -349,6 +349,17 @@ func (c *compiled) canon(s string) (string, error) {
 	return strings.Join(tok, " "), nil
 }
 
+// Program lowers the test to the checker's input: the program, and the
+// options (observed locations, initial values, location names) every
+// enumeration of the test starts from.
+func (t *Test) Program() (bccheck.Program, bccheck.Options, error) {
+	c, err := t.compile()
+	if err != nil {
+		return nil, bccheck.Options{}, err
+	}
+	return c.prog, c.opts, nil
+}
+
 // Enumerate runs the axiomatic enumerator, returning the allowed outcomes
 // in canonical syntax together with their witnesses.
 func (t *Test) Enumerate() (allowed map[string][]string, states int, err error) {

@@ -19,8 +19,8 @@ func TestFaultConfigEnabled(t *testing.T) {
 		want bool
 	}{
 		{FaultConfig{}, false},
-		{FaultConfig{Seed: 7}, false},                              // no rates
-		{FaultConfig{Rates: FaultRates{Drop: 0.5}}, false},         // seed 0
+		{FaultConfig{Seed: 7}, false},                      // no rates
+		{FaultConfig{Rates: FaultRates{Drop: 0.5}}, false}, // seed 0
 		{FaultConfig{Seed: 7, Rates: FaultRates{Drop: 0.5}}, true},
 		{FaultConfig{Seed: 7, Links: map[Link]FaultRates{{0, 1}: {Dup: 0.5}}}, true},
 		{FaultConfig{Seed: 7, Links: map[Link]FaultRates{{0, 1}: {}}}, false},

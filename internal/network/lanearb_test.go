@@ -60,12 +60,13 @@ func arbTraceLanes(t *testing.T, cfg Config, workers int) (map[int][]sim.Time, S
 	t.Helper()
 	par := sim.NewParallel(cfg.Nodes)
 	n := NewParallel(par, cfg)
-	trace := make(map[int][]sim.Time)
-	eng := make([]*sim.Engine, cfg.Nodes)
+	// Lanes deliver concurrently, so each records into its own slice;
+	// the map is built once they have all stopped.
+	lanes := make([][]sim.Time, cfg.Nodes)
 	for i := 0; i < cfg.Nodes; i++ {
 		i := i
-		eng[i] = par.Lane(i)
-		n.Attach(i, func(any) { trace[i] = append(trace[i], eng[i].Now()) })
+		eng := par.Lane(i)
+		n.Attach(i, func(any) { lanes[i] = append(lanes[i], eng.Now()) })
 	}
 	for _, s := range arbSchedule(cfg.Nodes) {
 		s := s
@@ -73,6 +74,12 @@ func arbTraceLanes(t *testing.T, cfg Config, workers int) (map[int][]sim.Time, S
 	}
 	if err := par.Run(workers); err != nil {
 		t.Fatal(err)
+	}
+	trace := make(map[int][]sim.Time)
+	for i, ts := range lanes {
+		if len(ts) > 0 {
+			trace[i] = ts
+		}
 	}
 	return trace, n.Stats()
 }
